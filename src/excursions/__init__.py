@@ -46,7 +46,6 @@ from .sampling import (
     Grid,
     Path,
     SamplerPlan,
-    SynthesisMethod,
     build_sampler,
     path_derivative_at_zero,
     sample_conditional_exceedance,

@@ -2,8 +2,8 @@
 and convergence diagnostics.
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error, 3 censor budget
-exceeded, 4 covariance synthesis failed.  EXCURSION_THREADS caps replicate
-parallelism.
+exceeded, 4 covariance synthesis failed, 5 internal error (traceback on
+stderr).  EXCURSION_THREADS, an integer >= 1, caps replicate parallelism.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -38,6 +39,7 @@ from .verify import (
     heavy_tail_grid,
     limit_grid,
     run_verification,
+    thread_budget,
 )
 
 EXIT_OK = 0
@@ -45,6 +47,7 @@ EXIT_ACCEPTANCE_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_CENSOR_BUDGET = 3
 EXIT_SYNTHESIS_ERROR = 4
+EXIT_INTERNAL_ERROR = 5
 
 DEFAULT_SEED = 1729
 _COVARIANCE_PAIRS = ((1.0, 1.0), (1.0, 2.0), (-1.0, 1.0))
@@ -176,6 +179,8 @@ def cmd_limit_cdf(args) -> int:
 
 
 def cmd_sample_paths(args) -> int:
+    if args.n < 1:
+        raise DomainError(f"sample-paths needs --n >= 1, got {args.n}")
     kernel = make_kernel(args.alpha, args.r0)
     if args.alpha == 2.0:
         grid = c2_grid(args.u, args.grid_step_factor, args.window_factor)
@@ -270,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        thread_budget()  # a malformed EXCURSION_THREADS fails before any work starts
         return args.handler(args)
     except CensorBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -280,6 +286,9 @@ def main(argv=None) -> int:
     except (DomainError, ExcursionsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .crossings import crossing_bounds
-from .errors import DomainError, SynthesisError
+from .errors import DomainError
 from .kernels import c_alpha
-from .sampling import FACTOR_TOL, Grid, Path
-from .streams import generator, substream_seed
+from .sampling import Grid, Path, circulant_draw, circulant_weights
+from .streams import generator
 
 __all__ = [
     "FbmPath",
@@ -29,15 +29,7 @@ __all__ = [
     "limit_hitting_interval",
     "sample_limit_length",
     "sample_tilde_length",
-    "MAX_WINDOW_EXTENSIONS",
 ]
-
-# A window with no crossing is regenerated on a doubled window (fresh draw) at
-# most this many times before the replicate is censored.
-MAX_WINDOW_EXTENSIONS = 6
-# Jitter ladder for the dense fBm factorization, relative to the largest
-# variance on the grid; zero first because the matrix is usually clean.
-_JITTER_LADDER = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
 
 
 @dataclass
@@ -57,41 +49,31 @@ class LimitSample:
     tau_star_minus: float
     tau_star_plus: float
     length: float  # nan when censored
-    window_extensions: int
     censored: bool
 
 
-def _fbm_cov(times: np.ndarray, alpha: float) -> np.ndarray:
-    s = np.abs(times[:, None]) ** alpha
-    t = np.abs(times[None, :]) ** alpha
-    d = np.abs(times[:, None] - times[None, :]) ** alpha
-    return 0.5 * (s + t - d)
-
-
 @lru_cache(maxsize=32)
-def _fbm_factor(alpha: float, grid: Grid):
-    """Cholesky factor of the fBm covariance on the grid times minus the pinned
-    origin; cached because every replicate on the same grid reuses it."""
-    times = np.delete(grid.times(), grid.origin_index)
-    cov = _fbm_cov(times, alpha)
-    scale = float(cov.diagonal().max())
-    eye = np.eye(times.size)
-    for jitter in _JITTER_LADDER:
-        eps = jitter * scale
-        try:
-            factor = np.linalg.cholesky(cov + eps * eye)
-        except np.linalg.LinAlgError:
-            continue
-        gap = float(np.linalg.norm(factor @ factor.T - cov) / np.linalg.norm(cov))
-        if gap <= FACTOR_TOL:
-            return factor, eps, gap
-    raise SynthesisError("fBm covariance factorization failed at every jitter level")
+def _fgn_weights(alpha: float, grid: Grid) -> np.ndarray:
+    """Circulant weights of the fractional Gaussian noise formed by the grid.n - 1
+    increments of an fBm with Var B(t) = |t|**alpha; cached because every
+    replicate on the same grid reuses them."""
+    h = grid.step**alpha
+
+    def autocov(k: np.ndarray) -> np.ndarray:
+        k = k.astype(float)
+        return 0.5 * h * ((k + 1.0) ** alpha + np.abs(k - 1.0) ** alpha - 2.0 * k**alpha)
+
+    weights, _, _ = circulant_weights(autocov, grid.n - 1)
+    weights.flags.writeable = False  # shared by every caller through the cache
+    return weights
 
 
 def _draw_fbm_values(alpha: float, grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    factor, _, _ = _fbm_factor(alpha, grid)
-    z = rng.standard_normal(grid.n - 1)
-    return np.insert(factor @ z, grid.origin_index, 0.0)
+    """Davies-Harte: cumulative sum of exact fGn, shifted so that B(0) = 0.  Exact
+    for the two-sided fBm because its increments are stationary."""
+    increments = circulant_draw(_fgn_weights(alpha, grid), grid.n - 1, rng)
+    values = np.concatenate(([0.0], np.cumsum(increments)))
+    return values - values[grid.origin_index]
 
 
 def fbm_two_sided(alpha: float, grid: Grid, seed: int) -> FbmPath:
@@ -128,62 +110,36 @@ def tilde_process_path(alpha: float, fbm: FbmPath, t_star: float) -> Path:
 
 
 def limit_hitting_interval(y: Path) -> LimitSample:
-    """Zero-hitting times of a limit path on each side of the origin.
-
-    Measurement only: censoring is reported, window regeneration lives in the
-    samplers that own the generative inputs.
-    """
+    """Zero-hitting times of a limit path on each side of the origin; a side
+    with no crossing inside the window is censored."""
     res = crossing_bounds(y, 0.0)
-    censored = res.censored_left or res.censored_right
-    return LimitSample(res.tau_minus, res.tau_plus, res.length, 0, censored)
+    return LimitSample(res.tau_minus, res.tau_plus, res.length, res.censored_left or res.censored_right)
 
 
-def _positive_exponential(rng: np.random.Generator) -> float:
+def _level_and_fbm(alpha: float, grid: Grid, seed: int) -> tuple[float, FbmPath]:
+    """Unit exponential level t_star > 0 and an independent fBm, both from seed."""
+    rng = generator(seed)
     t_star = float(rng.standard_exponential())
     while t_star == 0.0:  # zero draws break the origin-positivity precondition
         t_star = float(rng.standard_exponential())
-    return t_star
-
-
-def _sample_hitting_length(path_builder, grid: Grid, seed: int) -> LimitSample:
-    """Shared window-doubling loop: fresh draw on a doubled window (step and
-    half_width both double, keeping the point count at desk scale) until the
-    interval fits, then censor."""
-    res = None
-    for extension in range(MAX_WINDOW_EXTENSIONS + 1):
-        rng = generator(substream_seed(seed, extension))
-        t_star = _positive_exponential(rng)
-        y = path_builder(grid, rng, t_star)
-        res = crossing_bounds(y, 0.0)
-        if not (res.censored_left or res.censored_right):
-            return LimitSample(res.tau_minus, res.tau_plus, res.length, extension, False)
-        grid = Grid(step=grid.step * 2.0, half_width=grid.half_width * 2.0)
-    return LimitSample(res.tau_minus, res.tau_plus, math.nan, MAX_WINDOW_EXTENSIONS, True)
+    return t_star, FbmPath(grid, _draw_fbm_values(alpha, grid, rng), alpha, seed)
 
 
 def sample_limit_length(alpha: float, r0: float, grid: Grid, seed: int) -> LimitSample:
-    """One draw of the limit excursion interval: exponential level, independent
-    fBm, hitting times; the window doubles on a fresh substream when the
-    interval does not fit."""
+    """One draw of the limit excursion interval on the given window: exponential
+    level, independent fBm, hitting times.  An interval that does not fit the
+    window is reported censored, never redrawn."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"limit process needs alpha in (0, 2), got {alpha!r}")
     if not r0 > 0.0:
         raise DomainError(f"r0 must be positive, got {r0!r}")
-
-    def build(g: Grid, rng: np.random.Generator, t_star: float) -> Path:
-        fbm = FbmPath(g, _draw_fbm_values(alpha, g, rng), alpha, seed)
-        return limit_process_path(alpha, r0, fbm, t_star)
-
-    return _sample_hitting_length(build, grid, seed)
+    t_star, fbm = _level_and_fbm(alpha, grid, seed)
+    return limit_hitting_interval(limit_process_path(alpha, r0, fbm, t_star))
 
 
 def sample_tilde_length(alpha: float, grid: Grid, seed: int) -> LimitSample:
     """Same draw for the drift-normalized variant."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"limit process needs alpha in (0, 2), got {alpha!r}")
-
-    def build(g: Grid, rng: np.random.Generator, t_star: float) -> Path:
-        fbm = FbmPath(g, _draw_fbm_values(alpha, g, rng), alpha, seed)
-        return tilde_process_path(alpha, fbm, t_star)
-
-    return _sample_hitting_length(build, grid, seed)
+    t_star, fbm = _level_and_fbm(alpha, grid, seed)
+    return limit_hitting_interval(tilde_process_path(alpha, fbm, t_star))

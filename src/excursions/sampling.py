@@ -1,20 +1,21 @@
 """Exact synthesis of stationary Gaussian paths and exceedance conditioning.
 
-Sampling is exact (no AR/Markov approximation): circulant embedding with
-eigenvalue checks where it works, dense Cholesky of the full covariance as the
-fallback.  Conditioning on an origin exceedance replaces the origin coordinate
-by an independent truncated normal and propagates it along the regression
-profile R(t)/R(0), which reproduces the conditional law exactly.
+Sampling is exact (no AR/Markov approximation): circulant embedding of the
+Toeplitz covariance, padded until the spectrum is non-negative and the realized
+covariance passes a Frobenius check.  The same engine draws fractional Gaussian
+noise for the heavy-tail limit process.  Conditioning on an origin exceedance
+replaces the origin coordinate by an independent truncated normal and
+propagates it along the regression profile R(t)/R(0), which reproduces the
+conditional law exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import Callable
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import stats as sps
 
 from .errors import DomainError, SynthesisError
@@ -24,7 +25,6 @@ from .streams import as_generator, generator
 __all__ = [
     "Grid",
     "Path",
-    "SynthesisMethod",
     "SamplerPlan",
     "build_sampler",
     "sample_unconditional",
@@ -33,18 +33,15 @@ __all__ = [
     "path_derivative_at_zero",
 ]
 
-# Circulant embedding is retried on progressively padded domains up to this
-# factor before the dense route takes over.
-MAX_EMBED_FACTOR = 64
+# Circulant embedding is retried on domains padded by doubling factors until
+# the circulant would exceed this many points (a memory guard of 128 MiB per
+# complex draw); then synthesis gives up.
+MAX_EMBED_SIZE = 2**23
 # Negative circulant eigenvalues above this fraction of the largest one are
 # treated as roundoff and clamped to zero.
 EIGENVALUE_TOL = 1e-12
-# Relative Frobenius error any accepted factorization must meet.
+# Relative Frobenius error any accepted embedding must meet.
 FACTOR_TOL = 1e-8
-# Dense fallback: diagonal jitter ladder in units of R(0).
-JITTER_LADDER = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
-# Dense factorization memory/time guard.
-MAX_DENSE_POINTS = 8193
 
 
 @dataclass(frozen=True)
@@ -86,23 +83,15 @@ class Path:
     origin_index: int
 
 
-class SynthesisMethod(Enum):
-    CIRCULANT_EMBEDDING = "CirculantEmbedding"
-    DENSE_FACTORIZATION = "DenseFactorization"
-
-
 @dataclass
 class SamplerPlan:
-    """Precomputed factorization reused across replicates."""
+    """Precomputed circulant embedding reused across replicates."""
 
     kernel: Kernel
     grid: Grid
-    method: SynthesisMethod
-    jitter_used: float
     fro_error: float
-    embed_factor: int = 1
-    spectral_weights: np.ndarray | None = None  # circulant: sqrt(lam / M), length M
-    factor: np.ndarray | None = None            # dense: lower-triangular Cholesky
+    embed_factor: int
+    spectral_weights: np.ndarray  # sqrt(lam / M), length M
 
 
 def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) -> float:
@@ -117,96 +106,56 @@ def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) 
     return num / den
 
 
-def _circulant_attempt(kernel: Kernel, grid: Grid, embed_factor: int):
-    """Try one padded circulant embedding; None if eigenvalues fail the tolerance."""
-    n = grid.n
-    ext = embed_factor * (n - 1)
-    row = kernel.value(np.arange(ext + 1) * grid.step)
-    c = np.concatenate([row, row[-2:0:-1]])  # wrapped row, length 2 * ext
-    lam = np.fft.fft(c).real
-    lam_max = float(lam.max())
-    if float(lam.min()) < -EIGENVALUE_TOL * lam_max:
-        return None
-    lam = np.maximum(lam, 0.0)
-    realized = np.fft.ifft(lam).real  # covariance the clamped spectrum delivers
-    gap = _toeplitz_fro_gap(row, realized, n)
-    if gap > FACTOR_TOL:
-        return None
-    weights = np.sqrt(lam / lam.size)
-    return weights, gap
+def circulant_weights(
+    autocov: Callable[[np.ndarray], np.ndarray], n: int
+) -> tuple[np.ndarray, float, int]:
+    """Spectral weights of an exact circulant embedding of a stationary
+    n-point Gaussian vector whose lag-k covariance is autocov(k).
 
-
-def _dense_attempt(kernel: Kernel, grid: Grid):
-    n = grid.n
-    if n > MAX_DENSE_POINTS:
-        raise SynthesisError(
-            f"dense factorization is capped at {MAX_DENSE_POINTS} points, grid has {n}"
-        )
-    row = kernel.value(np.arange(n) * grid.step)
-    cov = sla.toeplitz(row)
-    eye = np.eye(n)
-    for jitter in JITTER_LADDER:
-        eps = jitter * kernel.r0
-        try:
-            factor = np.linalg.cholesky(cov + eps * eye)
-        except np.linalg.LinAlgError:
-            continue
-        gap = float(np.linalg.norm(factor @ factor.T - cov) / np.linalg.norm(cov))
-        if gap <= FACTOR_TOL:
-            return factor, eps, gap
-    raise SynthesisError("no jitter level produced an acceptable Cholesky factor")
-
-
-def build_sampler(kernel: Kernel, grid: Grid, *, force_dense: bool = False) -> SamplerPlan:
-    """Factorize the grid covariance once, for reuse across replicates.
-
-    Circulant embedding is attempted first on domains padded by factors
-    1, 2, ..., MAX_EMBED_FACTOR; embeddings whose spectrum dips below
-    -EIGENVALUE_TOL * max eigenvalue are rejected.  The dense Cholesky fallback
-    escalates diagonal jitter through JITTER_LADDER.  Whatever route is taken,
-    the realized covariance must match the target within FACTOR_TOL in relative
-    Frobenius norm, else SynthesisError.
+    Embeddings padded by factors 1, 2, 4, ... are tried in turn, up to
+    MAX_EMBED_SIZE circulant points.  One is rejected when its spectrum dips
+    below -EIGENVALUE_TOL * max eigenvalue, or when the covariance the clamped
+    spectrum delivers misses the target by more than FACTOR_TOL in relative
+    Frobenius norm.  Returns (weights, fro_error, embed_factor), else raises
+    SynthesisError.
     """
-    if not force_dense:
-        embed_factor = 1
-        while embed_factor <= MAX_EMBED_FACTOR:
-            hit = _circulant_attempt(kernel, grid, embed_factor)
-            if hit is not None:
-                weights, gap = hit
-                return SamplerPlan(
-                    kernel=kernel,
-                    grid=grid,
-                    method=SynthesisMethod.CIRCULANT_EMBEDDING,
-                    jitter_used=0.0,
-                    fro_error=gap,
-                    embed_factor=embed_factor,
-                    spectral_weights=weights,
-                )
-            embed_factor *= 2
-    factor, eps, gap = _dense_attempt(kernel, grid)
-    return SamplerPlan(
-        kernel=kernel,
-        grid=grid,
-        method=SynthesisMethod.DENSE_FACTORIZATION,
-        jitter_used=eps,
-        fro_error=gap,
-        factor=factor,
+    embed_factor = 1
+    while 2 * embed_factor * (n - 1) <= MAX_EMBED_SIZE:
+        ext = embed_factor * (n - 1)
+        row = autocov(np.arange(ext + 1))
+        c = np.concatenate([row, row[-2:0:-1]])  # wrapped row, length 2 * ext
+        lam = np.fft.fft(c).real
+        if float(lam.min()) >= -EIGENVALUE_TOL * float(lam.max()):
+            lam = np.maximum(lam, 0.0)
+            realized = np.fft.ifft(lam).real  # covariance the clamped spectrum delivers
+            gap = _toeplitz_fro_gap(row, realized, n)
+            if gap <= FACTOR_TOL:
+                return np.sqrt(lam / lam.size), gap, embed_factor
+        embed_factor *= 2
+    raise SynthesisError(
+        f"no circulant embedding of at most {MAX_EMBED_SIZE} points met the exactness tolerance"
     )
 
 
-def _draw_values(plan: SamplerPlan, rng: np.random.Generator) -> np.ndarray:
-    if plan.method is SynthesisMethod.CIRCULANT_EMBEDDING:
-        m = plan.spectral_weights.size
-        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        return np.fft.fft(z * plan.spectral_weights).real[: plan.grid.n]
-    z = rng.standard_normal(plan.grid.n)
-    return plan.factor @ z
+def circulant_draw(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One exact draw of the n-point vector embedded by ``weights``."""
+    m = weights.size
+    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return np.fft.fft(z * weights).real[:n]
+
+
+def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
+    """Embed the grid covariance once, for reuse across replicates."""
+    weights, gap, embed_factor = circulant_weights(
+        lambda lags: kernel.value(lags * grid.step), grid.n
+    )
+    return SamplerPlan(kernel, grid, gap, embed_factor, weights)
 
 
 def sample_unconditional(plan: SamplerPlan, seed: int) -> Path:
     """One exact draw of the stationary path on the plan's grid."""
     rng = generator(seed)
-    values = _draw_values(plan, rng)
+    values = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
     return Path(plan.grid, values, int(seed), plan.grid.origin_index)
 
 
@@ -250,7 +199,7 @@ def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed: int) -> Pat
     conditioning holds on every replicate, never by rejection.
     """
     rng = generator(seed)
-    values = _draw_values(plan, rng)
+    values = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
     r0 = plan.kernel.r0
     sigma = math.sqrt(r0)
     xi = sigma * _truncated_std_normal(u / sigma, rng)

@@ -63,7 +63,7 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class Regime(Enum):
@@ -152,13 +152,24 @@ def wasserstein1(a: SampleSet, b: SampleSet) -> float:
 
 
 def thread_budget(max_workers: int | None = None) -> int:
-    """Worker count: explicit argument, else EXCURSION_THREADS, else CPU count."""
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get("EXCURSION_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+    """Worker count: explicit argument, else EXCURSION_THREADS, else CPU count.
+
+    A count that is not an integer >= 1 raises DomainError.
+    """
+    if max_workers is None:
+        env = os.environ.get("EXCURSION_THREADS", "")
+        if not env:
+            return min(os.cpu_count() or 1, 8)
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise DomainError(f"EXCURSION_THREADS must be an integer >= 1, got {env!r}")
+        return workers
+    if max_workers < 1:
+        raise DomainError(f"max_workers must be an integer >= 1, got {max_workers!r}")
+    return int(max_workers)
 
 
 def _map_replicates(fn, n: int, workers: int) -> list:
@@ -253,6 +264,8 @@ def covariance_panel(
     Z_t = X_t - (R(t)/R(0)) * X_0 on the conditioned path; the panel times must
     land on grid points.
     """
+    if n < 2:
+        raise DomainError(f"a covariance estimate needs n >= 2 replicates, got {n}")
     d = delta_u(kernel, u)
     if grid is None:
         grid = heavy_tail_grid(kernel, u)
@@ -305,6 +318,8 @@ def covariance_panel(
 
 def c2_grid(u: float, step_factor: float = DEFAULT_STEP_FACTOR, window_factor: float = C2_WINDOW_FACTOR) -> Grid:
     """Smooth-regime grid: resolution and window shrink like 1/u."""
+    if not u > 0.0:
+        raise DomainError(f"threshold u must be positive, got {u!r}")
     return Grid(step=step_factor / u, half_width=window_factor / u)
 
 

@@ -12,6 +12,7 @@ from excursions.cli import (
     EXIT_ACCEPTANCE_FAILED,
     EXIT_CENSOR_BUDGET,
     EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     _fmt,
     _parse_range,
@@ -111,7 +112,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"]["window_factor"] == 20.0
@@ -176,6 +177,40 @@ def test_diagnostics_json_format_carries_both_tables(tmp_path):
 def test_diagnostics_rejects_smooth_kernel(tmp_path):
     out = str(tmp_path / "d.csv")
     assert main(["diagnostics", "--alpha", "2", "--out", out]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv,threads",
+    [
+        (["verify-c2", "--u", "0"], None),
+        (["sample-paths", "--u", "0"], None),
+        (["verify-c2", "--n", "150"], "abc"),
+        (["verify-c2", "--n", "150"], "0"),
+        (["sample-paths", "--n", "-3"], None),
+        (["diagnostics", "--n", "1"], None),
+    ],
+    ids=["verify-u0", "paths-u0", "threads-abc", "threads-0", "paths-n-3", "diagnostics-n1"],
+)
+def test_bad_input_exits_config_error_with_one_line(tmp_path, monkeypatch, capsys, argv, threads):
+    if threads is None:
+        monkeypatch.delenv("EXCURSION_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EXCURSION_THREADS", threads)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unexpected_exception_exits_internal_error_with_traceback(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("excursions.cli.make_kernel", boom)
+    assert main(["limit-cdf", "--out", str(tmp_path / "cdf.csv")]) == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_unknown_subcommand_is_an_argparse_error():

@@ -17,9 +17,16 @@ from excursions import (
     sample_tilde_length,
     tilde_process_path,
 )
-from excursions.limit_process import MAX_WINDOW_EXTENSIONS, _fbm_cov, _fbm_factor
-from excursions.sampling import FACTOR_TOL
+from excursions.limit_process import _fgn_weights
 from excursions.streams import generator, substream_seed
+
+
+def _fbm_cov(times, alpha):
+    """Oracle: two-sided fBm covariance (|s|^a + |t|^a - |s-t|^a) / 2."""
+    s = np.abs(times[:, None]) ** alpha
+    t = np.abs(times[None, :]) ** alpha
+    d = np.abs(times[:, None] - times[None, :]) ** alpha
+    return 0.5 * (s + t - d)
 
 
 def _zero_fbm(alpha, grid):
@@ -28,16 +35,18 @@ def _zero_fbm(alpha, grid):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_fbm_factor_reconstructs_covariance(alpha):
+    # covariance the circulant weights deliver to the fGn increments, mapped
+    # through cumsum-and-pin, must be the exact fBm covariance on the grid
     g = Grid(0.25, 1.5)
-    factor, jitter, gap = _fbm_factor(alpha, g)
-    times = g.times()
-    t = np.delete(times, g.origin_index)  # origin is pinned to zero, not sampled
-    target = _fbm_cov(t, alpha)
-    assert gap <= FACTOR_TOL
-    np.testing.assert_allclose(factor @ factor.T, target, atol=1e-8)
-    # reconstructed variance along the diagonal is |t|^alpha
-    np.testing.assert_allclose(np.diag(factor @ factor.T), np.abs(t) ** alpha, atol=1e-8)
-    assert jitter <= 1e-10
+    weights = _fgn_weights(alpha, g)
+    m = g.n - 1
+    fgn_row = np.fft.ifft(weights**2 * weights.size).real[:m]
+    lag = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    fgn_cov = fgn_row[lag]
+    cumsum = np.tril(np.ones((g.n, m)), k=-1)  # B(t_j) - B(t_0) = sum of the first j increments
+    pinned = cumsum - cumsum[g.origin_index]
+    realized = pinned @ fgn_cov @ pinned.T
+    np.testing.assert_allclose(realized, _fbm_cov(g.times(), alpha), rtol=0.0, atol=1e-10)
 
 
 def test_fbm_cov_hand_values():
@@ -84,7 +93,7 @@ def test_limit_process_deterministic_drift_geometry():
     assert res.tau_star_plus == pytest.approx(root, abs=1e-9)
     assert res.tau_star_minus == pytest.approx(-root, abs=1e-9)
     assert res.length == pytest.approx(2.0 * root, abs=1e-9)
-    assert not res.censored and res.window_extensions == 0
+    assert not res.censored
 
 
 def test_tilde_process_deterministic_drift_geometry():
@@ -148,7 +157,6 @@ def test_sample_limit_length_deterministic_and_positive():
     assert a == b
     for j in range(50):
         s = sample_limit_length(1.0, 1.0, g, substream_seed(56, 1, j))
-        assert s.window_extensions <= MAX_WINDOW_EXTENSIONS
         if s.censored:
             assert math.isnan(s.length)
         else:
@@ -164,18 +172,23 @@ def test_sample_tilde_length_deterministic():
     assert a == b
 
 
-def test_window_extension_recovers_wide_excursions():
-    # a window this tight cannot contain typical alpha = 0.5 intervals at first try
-    tiny = Grid(0.05, 0.2)
-    extended = censored = 0
-    for j in range(200):
-        s = sample_limit_length(0.5, 1.0, tiny, substream_seed(99, 1, j))
-        extended += s.window_extensions > 0
-        censored += s.censored
-        if not s.censored:
-            assert np.isfinite(s.length)
-    assert extended >= 50  # the doubling machinery actually runs
-    assert censored <= 10
+def test_narrow_window_censors_without_bias():
+    # a draw on [-1, 1] is censored exactly when the interval reaches past
+    # |t| = 1, so its censor rate must match that share on a wide window;
+    # redrawing censored intervals would push the narrow rate toward zero
+    n = 2000
+    narrow = sum(
+        sample_limit_length(1.0, 1.0, Grid(0.01, 1.0), substream_seed(99, 1, j)).censored
+        for j in range(n)
+    )
+    wide = 0
+    for j in range(n):
+        s = sample_limit_length(1.0, 1.0, Grid(0.01, 10.0), substream_seed(99, 2, j))
+        wide += s.censored or max(-s.tau_star_minus, s.tau_star_plus) > 1.0
+    p_narrow, p_wide = narrow / n, wide / n
+    se = math.sqrt((p_narrow * (1.0 - p_narrow) + p_wide * (1.0 - p_wide)) / n)
+    assert p_narrow > 0.05  # the narrow window does censor
+    assert abs(p_narrow - p_wide) <= 4.0 * se
 
 
 def test_limit_length_rejects_smooth_exponent():

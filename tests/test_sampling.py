@@ -13,7 +13,6 @@ from excursions import (
     Grid,
     Path,
     SynthesisError,
-    SynthesisMethod,
     build_sampler,
     make_kernel,
     path_derivative_at_zero,
@@ -21,7 +20,7 @@ from excursions import (
     sample_truncated_normal,
     sample_unconditional,
 )
-from excursions.sampling import FACTOR_TOL, MAX_DENSE_POINTS
+from excursions.sampling import FACTOR_TOL, circulant_weights
 from excursions.streams import generator, substream_seed
 
 
@@ -52,32 +51,19 @@ def test_grid_rejects_degenerate_windows():
 
 def test_build_sampler_prefers_circulant_embedding():
     plan = build_sampler(make_kernel(1.0), Grid(0.1, 2.0))
-    assert plan.method is SynthesisMethod.CIRCULANT_EMBEDDING
     assert plan.fro_error <= FACTOR_TOL
     assert plan.embed_factor >= 1
-    assert plan.spectral_weights is not None
+    assert plan.spectral_weights.size == 2 * plan.embed_factor * (plan.grid.n - 1)
 
 
-def test_force_dense_produces_checked_factor():
-    plan = build_sampler(make_kernel(2.0), Grid(0.1, 2.0), force_dense=True)
-    assert plan.method is SynthesisMethod.DENSE_FACTORIZATION
-    assert plan.fro_error <= FACTOR_TOL
-    assert plan.factor is not None
-    n = plan.grid.n
-    assert plan.factor.shape == (n, n)
-
-
-def test_dense_route_rejects_oversized_grids():
-    g = Grid(0.001, 5.0)
-    assert g.n > MAX_DENSE_POINTS
+def test_circulant_weights_reject_an_indefinite_covariance():
+    # unit variance with lag covariance 2 is no covariance; no padding embeds it
     with pytest.raises(SynthesisError):
-        build_sampler(make_kernel(1.0), g, force_dense=True)
+        circulant_weights(lambda k: np.where(k == 0, 1.0, 2.0), 3)
 
 
 def test_production_grid_embeds_without_jitter():
     plan = build_sampler(make_kernel(1.0), Grid(0.01, 5.0))
-    assert plan.method is SynthesisMethod.CIRCULANT_EMBEDDING
-    assert plan.jitter_used == 0.0
     assert plan.fro_error <= FACTOR_TOL
 
 
@@ -93,15 +79,14 @@ def test_sample_unconditional_is_deterministic():
     assert a.seed == 12345
 
 
-@pytest.mark.parametrize("force_dense", [False, True])
-def test_empirical_covariance_matches_kernel(force_dense):
+def test_empirical_covariance_matches_kernel():
     k = make_kernel(1.0)
     g = Grid(0.25, 1.0)
-    plan = build_sampler(k, g, force_dense=force_dense)
+    plan = build_sampler(k, g)
     n = 3000
     vals = np.empty((n, g.n))
     for i in range(n):
-        vals[i] = sample_unconditional(plan, substream_seed(97 + force_dense, 0, i)).values
+        vals[i] = sample_unconditional(plan, substream_seed(97, 0, i)).values
     o = g.origin_index
     for offset in (0, 2, 4):
         prods = vals[:, o] * vals[:, o + offset]

@@ -177,6 +177,15 @@ def test_thread_budget_resolution(monkeypatch):
     assert thread_budget(2) == 2  # explicit argument wins
 
 
+@pytest.mark.parametrize("env", ["abc", "1.5", "0", "-2"])
+def test_thread_budget_rejects_malformed_counts(monkeypatch, env):
+    monkeypatch.setenv("EXCURSION_THREADS", env)
+    with pytest.raises(DomainError):
+        thread_budget()
+    with pytest.raises(DomainError):
+        thread_budget(0)
+
+
 def test_simulated_lengths_independent_of_worker_count():
     k = make_kernel(2.0)
     g = c2_grid(6.0)
@@ -272,7 +281,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 1
+    assert json.loads(payload)["schema_version"] == 2
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
 
