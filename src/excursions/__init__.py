@@ -70,7 +70,6 @@ from .verify import (
     median_excursion_length,
     run_verification,
     simulate_excursion_lengths,
-    thread_budget,
     wasserstein1,
 )
 

@@ -1,9 +1,12 @@
 """Command-line front end: verification runs, limit-law tables, path dumps,
 and convergence diagnostics.
 
-Exit codes: 0 ok, 1 acceptance failed, 2 configuration error, 3 censor budget
-exceeded, 4 covariance synthesis failed, 5 internal error (traceback on
-stderr).  EXCURSION_THREADS, an integer >= 1, caps replicate parallelism.
+Every command runs on one thread; replicate i of a run is half i % 2 of the
+path pair drawn from substream i // 2 of its seed (see verify).
+
+Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
+including a non-finite number), 3 censor budget exceeded, 4 covariance
+synthesis failed, 5 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
+from functools import partial
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -26,7 +31,7 @@ from .errors import (
 from .kernels import make_kernel, pitman_ratio, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf
 from .sampling import build_sampler, sample_conditional_exceedance
-from .streams import substream_seed
+from .streams import replicates
 from .verify import (
     C2_WINDOW_FACTOR,
     DEFAULT_STEP_FACTOR,
@@ -39,7 +44,6 @@ from .verify import (
     heavy_tail_grid,
     limit_grid,
     run_verification,
-    thread_budget,
 )
 
 EXIT_OK = 0
@@ -158,6 +162,8 @@ def _parse_range(spec: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise DomainError(f"range must look like start:stop:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError(f"range needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise DomainError(f"range needs step > 0 and stop >= start, got {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -189,8 +195,8 @@ def cmd_sample_paths(args) -> int:
     plan = build_sampler(kernel, grid)
     times = grid.times()
     rows = []
-    for i in range(args.n):
-        path = sample_conditional_exceedance(plan, args.u, substream_seed(args.seed, PATH_LANE, i))
+    draw_pair = partial(sample_conditional_exceedance, plan, args.u)
+    for i, path in enumerate(replicates(draw_pair, args.n, args.seed, PATH_LANE)):
         rows.extend((float(t), float(v), i) for t, v in zip(times, path.values))
     if args.format == "json":
         _write_json(args.out, [{"t": t, "value": v, "replicate": r} for t, v, r in rows])
@@ -275,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        thread_budget()  # a malformed EXCURSION_THREADS fails before any work starts
         return args.handler(args)
     except CensorBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

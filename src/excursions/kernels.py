@@ -52,8 +52,8 @@ def make_kernel(alpha: float, r0: float = 1.0) -> Kernel:
     """Validated constructor; alpha in (0, 2], r0 > 0."""
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
-    if not r0 > 0.0:
-        raise DomainError(f"r0 must be positive, got {r0!r}")
+    if not 0.0 < r0 < math.inf:
+        raise DomainError(f"r0 must be positive and finite, got {r0!r}")
     return Kernel(KernelFamily.EXP_POWER, float(alpha), float(r0))
 
 

@@ -69,19 +69,21 @@ def _fgn_weights(alpha: float, grid: Grid) -> np.ndarray:
 
 
 def _draw_fbm_values(alpha: float, grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    """Davies-Harte: cumulative sum of exact fGn, shifted so that B(0) = 0.  Exact
-    for the two-sided fBm because its increments are stationary."""
+    """Davies-Harte: cumulative sums of exact fGn, shifted so that B(0) = 0; two
+    independent draws as a (2, grid.n) array.  Exact for the two-sided fBm
+    because its increments are stationary."""
     increments = circulant_draw(_fgn_weights(alpha, grid), grid.n - 1, rng)
-    values = np.concatenate(([0.0], np.cumsum(increments)))
-    return values - values[grid.origin_index]
+    values = np.concatenate((np.zeros((2, 1)), np.cumsum(increments, axis=1)), axis=1)
+    return values - values[:, grid.origin_index, None]
 
 
-def fbm_two_sided(alpha: float, grid: Grid, seed: int) -> FbmPath:
-    """Exact two-sided fBm draw with Hurst index alpha/2; B(0) = 0 exactly."""
+def fbm_two_sided(alpha: float, grid: Grid, seed: int) -> tuple[FbmPath, FbmPath]:
+    """Two independent exact two-sided fBm draws with Hurst index alpha/2;
+    B(0) = 0 exactly."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"fBm needs alpha in (0, 2), got {alpha!r}")
-    rng = generator(seed)
-    return FbmPath(grid, _draw_fbm_values(alpha, grid, rng), alpha, int(seed))
+    pair = _draw_fbm_values(alpha, grid, generator(seed))
+    return tuple(FbmPath(grid, values, alpha, int(seed)) for values in pair)
 
 
 def limit_process_path(alpha: float, r0: float, fbm: FbmPath, t_star: float) -> Path:
@@ -116,30 +118,40 @@ def limit_hitting_interval(y: Path) -> LimitSample:
     return LimitSample(res.tau_minus, res.tau_plus, res.length, res.censored_left or res.censored_right)
 
 
-def _level_and_fbm(alpha: float, grid: Grid, seed: int) -> tuple[float, FbmPath]:
-    """Unit exponential level t_star > 0 and an independent fBm, both from seed."""
+def _fbms_and_levels(alpha: float, grid: Grid, seed: int) -> list[tuple[FbmPath, float]]:
+    """Two independent fBm draws from seed, each with its own unit exponential
+    level t_star > 0, drawn after the normals."""
     rng = generator(seed)
-    t_star = float(rng.standard_exponential())
-    while t_star == 0.0:  # zero draws break the origin-positivity precondition
+    out = []
+    for values in _draw_fbm_values(alpha, grid, rng):
         t_star = float(rng.standard_exponential())
-    return t_star, FbmPath(grid, _draw_fbm_values(alpha, grid, rng), alpha, seed)
+        while t_star == 0.0:  # zero draws break the origin-positivity precondition
+            t_star = float(rng.standard_exponential())
+        out.append((FbmPath(grid, values, alpha, seed), t_star))
+    return out
 
 
-def sample_limit_length(alpha: float, r0: float, grid: Grid, seed: int) -> LimitSample:
-    """One draw of the limit excursion interval on the given window: exponential
-    level, independent fBm, hitting times.  An interval that does not fit the
-    window is reported censored, never redrawn."""
+def sample_limit_length(
+    alpha: float, r0: float, grid: Grid, seed: int
+) -> tuple[LimitSample, LimitSample]:
+    """Two independent draws of the limit excursion interval on the given
+    window: exponential level, independent fBm, hitting times.  An interval
+    that does not fit the window is reported censored, never redrawn."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"limit process needs alpha in (0, 2), got {alpha!r}")
     if not r0 > 0.0:
         raise DomainError(f"r0 must be positive, got {r0!r}")
-    t_star, fbm = _level_and_fbm(alpha, grid, seed)
-    return limit_hitting_interval(limit_process_path(alpha, r0, fbm, t_star))
+    return tuple(
+        limit_hitting_interval(limit_process_path(alpha, r0, fbm, t_star))
+        for fbm, t_star in _fbms_and_levels(alpha, grid, seed)
+    )
 
 
-def sample_tilde_length(alpha: float, grid: Grid, seed: int) -> LimitSample:
-    """Same draw for the drift-normalized variant."""
+def sample_tilde_length(alpha: float, grid: Grid, seed: int) -> tuple[LimitSample, LimitSample]:
+    """Same pair of draws for the drift-normalized variant."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"limit process needs alpha in (0, 2), got {alpha!r}")
-    t_star, fbm = _level_and_fbm(alpha, grid, seed)
-    return limit_hitting_interval(tilde_process_path(alpha, fbm, t_star))
+    return tuple(
+        limit_hitting_interval(tilde_process_path(alpha, fbm, t_star))
+        for fbm, t_star in _fbms_and_levels(alpha, grid, seed)
+    )

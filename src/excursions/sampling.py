@@ -2,11 +2,12 @@
 
 Sampling is exact (no AR/Markov approximation): circulant embedding of the
 Toeplitz covariance, padded until the spectrum is non-negative and the realized
-covariance passes a Frobenius check.  The same engine draws fractional Gaussian
-noise for the heavy-tail limit process.  Conditioning on an origin exceedance
-replaces the origin coordinate by an independent truncated normal and
-propagates it along the regression profile R(t)/R(0), which reproduces the
-conditional law exactly.
+covariance passes a Frobenius check.  One complex FFT yields two independent
+exact draws, its real and imaginary parts, so every sampler here returns a pair
+from one seed.  The same engine draws fractional Gaussian noise for the
+heavy-tail limit process.  Conditioning on an origin exceedance replaces the
+origin coordinate by an independent truncated normal and propagates it along
+the regression profile R(t)/R(0), which reproduces the conditional law exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .errors import DomainError, SynthesisError
 from .kernels import Kernel
@@ -52,8 +53,8 @@ class Grid:
     half_width: float
 
     def __post_init__(self):
-        if not (self.step > 0.0 and self.half_width > 0.0):
-            raise DomainError("grid step and half_width must be positive")
+        if not (0.0 < self.step < math.inf and 0.0 < self.half_width < math.inf):
+            raise DomainError("grid step and half_width must be positive and finite")
         if int(math.floor(self.half_width / self.step + 1e-9)) < 1:
             raise DomainError("grid needs at least 3 points; require half_width >= step")
 
@@ -92,6 +93,7 @@ class SamplerPlan:
     fro_error: float
     embed_factor: int
     spectral_weights: np.ndarray  # sqrt(lam / M), length M
+    profile: np.ndarray  # regression profile R(t)/R(0) on the grid
 
 
 def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) -> float:
@@ -138,10 +140,13 @@ def circulant_weights(
 
 
 def circulant_draw(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One exact draw of the n-point vector embedded by ``weights``."""
+    """Two independent exact draws of the n-point vector embedded by ``weights``,
+    as a (2, n) array: the real and imaginary parts of one FFT of complex
+    normals (Wood & Chan 1994; Dietrich & Newsam 1997)."""
     m = weights.size
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return np.fft.fft(z * weights).real[:n]
+    y = np.fft.fft(z * weights)[:n]
+    return np.stack((y.real, y.imag))
 
 
 def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
@@ -149,14 +154,15 @@ def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
     weights, gap, embed_factor = circulant_weights(
         lambda lags: kernel.value(lags * grid.step), grid.n
     )
-    return SamplerPlan(kernel, grid, gap, embed_factor, weights)
+    profile = kernel.value(grid.times()) / kernel.r0
+    return SamplerPlan(kernel, grid, gap, embed_factor, weights, profile)
 
 
-def sample_unconditional(plan: SamplerPlan, seed: int) -> Path:
-    """One exact draw of the stationary path on the plan's grid."""
+def sample_unconditional(plan: SamplerPlan, seed: int) -> tuple[Path, Path]:
+    """Two independent exact draws of the stationary path on the plan's grid."""
     rng = generator(seed)
-    values = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
-    return Path(plan.grid, values, int(seed), plan.grid.origin_index)
+    pair = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
+    return tuple(Path(plan.grid, values, int(seed), plan.grid.origin_index) for values in pair)
 
 
 # Above this standardized threshold the inverse-CDF loses nothing to switch to
@@ -167,9 +173,9 @@ _INVERSE_CDF_CUTOFF = 2.0
 def _truncated_std_normal(a: float, rng: np.random.Generator) -> float:
     """Standard normal conditioned on exceeding a; exact for every a."""
     if a <= _INVERSE_CDF_CUTOFF:
-        q = float(sps.norm.sf(a))
-        # (1 - U) keeps the argument strictly positive, so isf stays finite
-        return float(sps.norm.isf((1.0 - rng.uniform()) * q))
+        q = float(special.ndtr(-a))  # P(Z > a)
+        # (1 - U) keeps the argument strictly positive, so the inverse stays finite
+        return float(-special.ndtri((1.0 - rng.uniform()) * q))
     lam = 0.5 * (a + math.sqrt(a * a + 4.0))
     while True:
         x = a + rng.standard_exponential() / lam
@@ -191,23 +197,23 @@ def sample_truncated_normal(variance: float, u: float, seed) -> float:
     return sigma * _truncated_std_normal(u / sigma, rng)
 
 
-def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed: int) -> Path:
-    """One exact draw of the path conditioned on its origin value exceeding u.
+def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed: int) -> tuple[Path, Path]:
+    """Two independent exact draws of the path conditioned on its origin value
+    exceeding u.
 
-    Writes X + (R(t)/R(0)) * (xi - X_0) with X unconditional and xi an
-    independent truncated normal; the origin value is xi itself, so the
-    conditioning holds on every replicate, never by rejection.
+    Each half writes X + (R(t)/R(0)) * (xi - X_0) with X one unconditional
+    draw and xi its own truncated normal, drawn after the normals; the origin
+    value is xi itself, so the conditioning holds on every replicate, never by
+    rejection.
     """
     rng = generator(seed)
-    values = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
-    r0 = plan.kernel.r0
-    sigma = math.sqrt(r0)
-    xi = sigma * _truncated_std_normal(u / sigma, rng)
+    pair = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
+    sigma = math.sqrt(plan.kernel.r0)
+    xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for _ in pair])
     origin = plan.grid.origin_index
-    profile = plan.kernel.value(plan.grid.times()) / r0
-    values = values + profile * (xi - values[origin])
-    values[origin] = xi  # exact, guards the strict exceedance against roundoff
-    return Path(plan.grid, values, int(seed), origin)
+    pair += np.outer(xi - pair[:, origin], plan.profile)
+    pair[:, origin] = xi  # exact, guards the strict exceedance against roundoff
+    return tuple(Path(plan.grid, values, int(seed), origin) for values in pair)
 
 
 def path_derivative_at_zero(path: Path) -> float:

@@ -1,17 +1,18 @@
 """Empirical-distribution machinery and the Monte Carlo verification driver.
 
-One master seed drives a run; replicate i always consumes the pure substream
-(master, lane, i), so reports are bit-identical whatever the worker count.
+One master seed drives a run, on one thread.  Every substream seed yields a
+pair of independent draws: replicate i of a lane is half i % 2 of the pure
+substream (master, lane, i // 2), so a run of n replicates is the first n
+replicates of any longer run, and reports are bit-identical across repeats.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
 from .limit_process import sample_limit_length
 from .sampling import Grid, build_sampler, sample_conditional_exceedance
-from .streams import substream_seed
+from .streams import replicates, substream_seed
 
 __all__ = [
     "Regime",
@@ -43,7 +44,6 @@ __all__ = [
     "c2_grid",
     "heavy_tail_grid",
     "limit_grid",
-    "thread_budget",
 ]
 
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -63,7 +63,7 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class Regime(Enum):
@@ -151,32 +151,11 @@ def wasserstein1(a: SampleSet, b: SampleSet) -> float:
 # replicate execution
 
 
-def thread_budget(max_workers: int | None = None) -> int:
-    """Worker count: explicit argument, else EXCURSION_THREADS, else CPU count.
-
-    A count that is not an integer >= 1 raises DomainError.
-    """
-    if max_workers is None:
-        env = os.environ.get("EXCURSION_THREADS", "")
-        if not env:
-            return min(os.cpu_count() or 1, 8)
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise DomainError(f"EXCURSION_THREADS must be an integer >= 1, got {env!r}")
-        return workers
-    if max_workers < 1:
-        raise DomainError(f"max_workers must be an integer >= 1, got {max_workers!r}")
-    return int(max_workers)
-
-
-def _map_replicates(fn, n: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+def _drop_censored(lengths: list[float]) -> tuple[np.ndarray, int]:
+    """Finite lengths and the count of censored (nan) ones."""
+    arr = np.array(lengths, dtype=float)
+    kept = arr[~np.isnan(arr)]
+    return kept, arr.size - kept.size
 
 
 def simulate_excursion_lengths(
@@ -187,7 +166,6 @@ def simulate_excursion_lengths(
     master_seed: int,
     *,
     lane: int = PATH_LANE,
-    max_workers: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Unscaled excursion lengths of n exactly conditioned paths.
 
@@ -195,17 +173,8 @@ def simulate_excursion_lengths(
     counted, never imputed.  Returns (lengths, n_censored).
     """
     plan = build_sampler(kernel, grid)
-
-    def one(i: int):
-        path = sample_conditional_exceedance(plan, u, substream_seed(master_seed, lane, i))
-        res = crossing_bounds(path, u)
-        if res.censored_left or res.censored_right:
-            return None
-        return res.length
-
-    out = _map_replicates(one, n, thread_budget(max_workers))
-    lengths = np.array([v for v in out if v is not None], dtype=float)
-    return lengths, n - lengths.size
+    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, lane)
+    return _drop_censored([crossing_bounds(path, u).length for path in paths])
 
 
 def draw_limit_lengths(
@@ -216,18 +185,11 @@ def draw_limit_lengths(
     master_seed: int,
     *,
     lane: int = LIMIT_LANE,
-    max_workers: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """n draws of the heavy-tail limit interval length; censored draws dropped
     and counted."""
-
-    def one(j: int):
-        s = sample_limit_length(alpha, r0, grid, substream_seed(master_seed, lane, j))
-        return None if s.censored else s.length
-
-    out = _map_replicates(one, n, thread_budget(max_workers))
-    lengths = np.array([v for v in out if v is not None], dtype=float)
-    return lengths, n - lengths.size
+    samples = replicates(partial(sample_limit_length, alpha, r0, grid), n, master_seed, lane)
+    return _drop_censored([s.length for s in samples])
 
 
 def median_excursion_length(
@@ -236,12 +198,8 @@ def median_excursion_length(
     grid: Grid,
     n: int,
     master_seed: int,
-    *,
-    max_workers: int | None = None,
 ) -> float:
-    lengths, _ = simulate_excursion_lengths(
-        kernel, u, grid, n, master_seed, max_workers=max_workers
-    )
+    lengths, _ = simulate_excursion_lengths(kernel, u, grid, n, master_seed)
     if lengths.size < 1:
         raise EmptySampleError("all replicates were censored")
     return float(np.median(lengths))
@@ -254,8 +212,6 @@ def covariance_panel(
     n: int,
     master_seed: int,
     grid: Grid | None = None,
-    *,
-    max_workers: int | None = None,
 ) -> list[dict]:
     """Empirical covariance of the scaled conditional residual u * Z_t at
     pair times (s, t) in delta_u units, against the fBm target
@@ -270,8 +226,6 @@ def covariance_panel(
     if grid is None:
         grid = heavy_tail_grid(kernel, u)
     plan = build_sampler(kernel, grid)
-    times = grid.times()
-    profile = kernel.value(times) / kernel.r0
     origin = grid.origin_index
 
     panel_times = sorted({float(v) for pair in pairs for v in pair})
@@ -286,13 +240,9 @@ def covariance_panel(
             raise DomainError(f"panel time {s} * delta_u lies outside the window")
 
     cols = [indices[s] for s in panel_times]
-
-    def one(i: int):
-        path = sample_conditional_exceedance(plan, u, substream_seed(master_seed, PATH_LANE, i))
-        z = path.values[cols] - profile[cols] * path.values[origin]
-        return u * z
-
-    rows = np.array(_map_replicates(one, n, thread_budget(max_workers)))
+    profile = plan.profile[cols]
+    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, PATH_LANE)
+    rows = np.array([u * (path.values[cols] - profile * path.values[origin]) for path in paths])
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha
@@ -405,7 +355,6 @@ def run_verification(
     master_seed: int,
     *,
     ks_threshold: float | None = None,
-    max_workers: int | None = None,
     extra_config: dict | None = None,
 ) -> VerificationReport:
     """Simulate n conditioned paths, scale the excursion lengths, and compare
@@ -439,9 +388,7 @@ def run_verification(
         if kernel.alpha != 2.0:
             raise DomainError("C2 verification requires alpha = 2")
         threshold = KS_THRESHOLDS["C2"] if ks_threshold is None else ks_threshold
-        lengths, n_cens = simulate_excursion_lengths(
-            kernel, u, grids.path, n, master_seed, max_workers=max_workers
-        )
+        lengths, n_cens = simulate_excursion_lengths(kernel, u, grids.path, n, master_seed)
         _check_censor_budget(n_cens, n, "path simulation")
         sample = make_sample_set(u * lengths, n_cens, master_seed)
         params = C2LimitParams(kernel.r0, second_derivative_at_zero(kernel))
@@ -467,12 +414,10 @@ def run_verification(
             raise DomainError("heavy-tail verification needs a limit grid")
         threshold = KS_THRESHOLDS["HeavyTail"] if ks_threshold is None else ks_threshold
         d_u = delta_u(kernel, u)
-        lengths, n_cens = simulate_excursion_lengths(
-            kernel, u, grids.path, n, master_seed, max_workers=max_workers
-        )
+        lengths, n_cens = simulate_excursion_lengths(kernel, u, grids.path, n, master_seed)
         _check_censor_budget(n_cens, n, "path simulation")
         limit_lengths, n_cens_limit = draw_limit_lengths(
-            kernel.alpha, kernel.r0, grids.limit, n, master_seed, max_workers=max_workers
+            kernel.alpha, kernel.r0, grids.limit, n, master_seed
         )
         _check_censor_budget(n_cens_limit, n, "limit-process draws")
         sample = make_sample_set(lengths / d_u, n_cens, master_seed)

@@ -40,7 +40,7 @@ from excursions import (
     sample_truncated_normal,
     second_derivative_at_zero,
 )
-from excursions.streams import generator, substream_seed
+from excursions.streams import generator, replicates, substream_seed
 
 
 def _criterion(name):
@@ -95,9 +95,8 @@ def test_03_synthesis_covariance():
     plan = build_sampler(k, g)
     assert plan.fro_error <= 1e-8, f"factor error {plan.fro_error:.2e} > 1e-8"
     n = 2000
-    vals = np.empty((n, g.n))
-    for i in range(n):
-        vals[i] = sample_unconditional(plan, substream_seed(98765, 0, i)).values
+    draw_pair = functools.partial(sample_unconditional, plan)
+    vals = np.vstack([p.values for p in replicates(draw_pair, n, 98765, 0)])
     o = g.origin_index
     worst = 0.0
     for lag, offset in ((0.0, 0), (0.1, 1), (0.5, 5), (1.0, 10)):
@@ -175,12 +174,10 @@ def test_07_oracle_cross_validation():
     base = limit_grid()
     tilde_grid = Grid(base.step * scale, base.half_width * scale)
     n = 10000
-    lim = np.array(
-        [sample_limit_length(alpha, 1.0, base, substream_seed(777, 1, j)).length for j in range(n)]
-    )
-    til = np.array(
-        [sample_tilde_length(alpha, tilde_grid, substream_seed(777, 2, j)).length for j in range(n)]
-    )
+    lim_pair = functools.partial(sample_limit_length, alpha, 1.0, base)
+    til_pair = functools.partial(sample_tilde_length, alpha, tilde_grid)
+    lim = np.array([s.length for s in replicates(lim_pair, n, 777, 1)])
+    til = np.array([s.length for s in replicates(til_pair, n, 777, 2)])
     lim, til = lim[np.isfinite(lim)], til[np.isfinite(til)]
     stat, p = ks_two_sample(make_sample_set(til / scale), make_sample_set(lim))
     assert stat <= 0.03, f"self-similarity two-sample KS {stat:.4f} > 0.03"
@@ -212,8 +209,7 @@ def test_09_root_predictor():
     plan = build_sampler(k, c2_grid(u))
     r2 = second_derivative_at_zero(k)
     gaps = []
-    for i in range(n):
-        p = sample_conditional_exceedance(plan, u, substream_seed(424242, 0, i))
+    for p in replicates(functools.partial(sample_conditional_exceedance, plan, u), n, 424242, 0):
         res = crossing_bounds(p, u)
         if res.censored_right:
             continue

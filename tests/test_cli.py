@@ -112,7 +112,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"]["window_factor"] == 20.0
@@ -180,22 +180,27 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,threads",
+    "argv",
     [
-        (["verify-c2", "--u", "0"], None),
-        (["sample-paths", "--u", "0"], None),
-        (["verify-c2", "--n", "150"], "abc"),
-        (["verify-c2", "--n", "150"], "0"),
-        (["sample-paths", "--n", "-3"], None),
-        (["diagnostics", "--n", "1"], None),
+        ["verify-c2", "--u", "0"],
+        ["sample-paths", "--u", "0"],
+        ["sample-paths", "--n", "-3"],
+        ["diagnostics", "--n", "1"],
+        ["verify-c2", "--window-factor", "inf"],
+        ["limit-cdf", "--range", "0:inf:1"],
+        ["verify-c2", "--r0", "inf"],
     ],
-    ids=["verify-u0", "paths-u0", "threads-abc", "threads-0", "paths-n-3", "diagnostics-n1"],
+    ids=[
+        "verify-u0",
+        "paths-u0",
+        "paths-n-3",
+        "diagnostics-n1",
+        "verify-window-inf",
+        "cdf-range-inf",
+        "verify-r0-inf",
+    ],
 )
-def test_bad_input_exits_config_error_with_one_line(tmp_path, monkeypatch, capsys, argv, threads):
-    if threads is None:
-        monkeypatch.delenv("EXCURSION_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("EXCURSION_THREADS", threads)
+def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Excursion endpoint measurement and the smooth-regime root predictor."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from excursions import (
     path_derivative_at_zero,
     sample_conditional_exceedance,
 )
-from excursions.streams import substream_seed
+from excursions.streams import replicates
 
 
 def _path(values, step=1.0):
@@ -148,8 +149,7 @@ def _predictor_gaps(u, n, master_seed):
     plan = build_sampler(k, c2_grid(u))
     r2 = -2.0
     gaps = []
-    for i in range(n):
-        p = sample_conditional_exceedance(plan, u, substream_seed(master_seed, 0, i))
+    for p in replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, 0):
         res = crossing_bounds(p, u)
         if res.censored_right:
             continue

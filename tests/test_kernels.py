@@ -78,7 +78,7 @@ def test_make_kernel_rejects_bad_alpha(alpha):
         make_kernel(alpha)
 
 
-@pytest.mark.parametrize("r0", [0.0, -2.0])
+@pytest.mark.parametrize("r0", [0.0, -2.0, float("inf"), float("nan")])
 def test_make_kernel_rejects_bad_r0(r0):
     with pytest.raises(DomainError):
         make_kernel(1.0, r0=r0)

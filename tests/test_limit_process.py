@@ -1,6 +1,7 @@
 """Two-sided fractional Brownian motion and the heavy-tail limit interval."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from excursions import (
     tilde_process_path,
 )
 from excursions.limit_process import _fgn_weights
-from excursions.streams import generator, substream_seed
+from excursions.streams import generator, replicates, substream_seed
 
 
 def _fbm_cov(times, alpha):
@@ -60,26 +61,34 @@ def test_fbm_cov_hand_values():
 
 def test_fbm_two_sided_pins_origin_and_is_deterministic():
     g = Grid(0.1, 1.0)
-    a = fbm_two_sided(1.0, g, 314)
-    b = fbm_two_sided(1.0, g, 314)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.values[a.origin_index] == 0.0
-    assert a.values.shape == (g.n,)
-    assert a.alpha == 1.0
+    pair = fbm_two_sided(1.0, g, 314)
+    again = fbm_two_sided(1.0, g, 314)
+    for a, b in zip(pair, again, strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.values[a.origin_index] == 0.0
+        assert a.values.shape == (g.n,)
+        assert a.alpha == 1.0
+    assert not np.array_equal(pair[0].values, pair[1].values)
 
 
 def test_fbm_empirical_variance_scales_as_hurst_law():
+    # both halves of each draw follow the Hurst law, and the halves are
+    # independent: their cross-covariance vanishes
     g = Grid(0.5, 2.0)
     n = 3000
-    vals = np.vstack([fbm_two_sided(0.5, g, substream_seed(11, 0, i)).values for i in range(n)])
+    pairs = [fbm_two_sided(0.5, g, substream_seed(11, 0, i)) for i in range(n)]
+    first = np.vstack([a.values for a, _ in pairs])
+    second = np.vstack([b.values for _, b in pairs])
     t = g.times()
     for idx in (0, g.n - 1, g.origin_index + 2):
         if idx == g.origin_index:
             continue
         target = abs(t[idx]) ** 0.5
-        var = vals[:, idx].var(ddof=1)
         se = target * math.sqrt(2.0 / (n - 1))  # chi-square spread of a variance
-        assert abs(var - target) <= 4.0 * se
+        for vals in (first, second):
+            assert abs(vals[:, idx].var(ddof=1) - target) <= 4.0 * se
+        cross = np.cov(first[:, idx], second[:, idx], ddof=1)[0, 1]
+        assert abs(cross) <= 4.0 * target / math.sqrt(n)  # spread of a null covariance
 
 
 def test_limit_process_deterministic_drift_geometry():
@@ -112,10 +121,9 @@ def test_limit_process_mean_drift():
     col = g.origin_index + 4  # t = 1
     n = 2000
     vals = np.empty(n)
-    for i in range(n):
-        rng = generator(substream_seed(17, 0, i))
-        t_star = float(rng.standard_exponential())
-        fbm = fbm_two_sided(1.0, g, substream_seed(17, 1, i))
+    fbms = replicates(partial(fbm_two_sided, 1.0, g), n, 17, 1)
+    for i, fbm in enumerate(fbms):
+        t_star = float(generator(substream_seed(17, 0, i)).standard_exponential())
         vals[i] = limit_process_path(1.0, 1.0, fbm, t_star).values[col]
     target = 1.0 - c_alpha(1.0)
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -153,10 +161,11 @@ def test_sample_limit_length_deterministic_and_positive():
     g = Grid(0.02, 8.0)
     a = sample_limit_length(1.0, 1.0, g, 55)
     b = sample_limit_length(1.0, 1.0, g, 55)
-    assert not a.censored
+    assert len(a) == 2
+    assert not any(s.censored for s in a)
     assert a == b
-    for j in range(50):
-        s = sample_limit_length(1.0, 1.0, g, substream_seed(56, 1, j))
+    assert a[0] != a[1]
+    for s in replicates(partial(sample_limit_length, 1.0, 1.0, g), 50, 56, 1):
         if s.censored:
             assert math.isnan(s.length)
         else:
@@ -168,7 +177,8 @@ def test_sample_tilde_length_deterministic():
     g = Grid(0.05, 10.0)
     a = sample_tilde_length(0.75, g, 77)
     b = sample_tilde_length(0.75, g, 77)
-    assert not a.censored
+    assert len(a) == 2
+    assert not any(s.censored for s in a)
     assert a == b
 
 
@@ -178,12 +188,10 @@ def test_narrow_window_censors_without_bias():
     # redrawing censored intervals would push the narrow rate toward zero
     n = 2000
     narrow = sum(
-        sample_limit_length(1.0, 1.0, Grid(0.01, 1.0), substream_seed(99, 1, j)).censored
-        for j in range(n)
+        s.censored for s in replicates(partial(sample_limit_length, 1.0, 1.0, Grid(0.01, 1.0)), n, 99, 1)
     )
     wide = 0
-    for j in range(n):
-        s = sample_limit_length(1.0, 1.0, Grid(0.01, 10.0), substream_seed(99, 2, j))
+    for s in replicates(partial(sample_limit_length, 1.0, 1.0, Grid(0.01, 10.0)), n, 99, 2):
         wide += s.censored or max(-s.tau_star_minus, s.tau_star_plus) > 1.0
     p_narrow, p_wide = narrow / n, wide / n
     se = math.sqrt((p_narrow * (1.0 - p_narrow) + p_wide * (1.0 - p_wide)) / n)

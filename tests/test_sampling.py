@@ -1,6 +1,7 @@
 """Grid geometry, exact Gaussian path synthesis, and threshold conditioning."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from excursions import (
     sample_unconditional,
 )
 from excursions.sampling import FACTOR_TOL, circulant_weights
-from excursions.streams import generator, substream_seed
+from excursions.streams import generator, replicates, substream_seed
 
 
 @given(
@@ -47,6 +48,9 @@ def test_grid_rejects_degenerate_windows():
         Grid(0.0, 1.0)
     with pytest.raises(DomainError):
         Grid(-0.1, 1.0)
+    for step, half_width in ((math.inf, 1.0), (0.1, math.inf), (math.nan, 1.0), (0.1, math.nan)):
+        with pytest.raises(DomainError):
+            Grid(step, half_width)
 
 
 def test_build_sampler_prefers_circulant_embedding():
@@ -69,30 +73,41 @@ def test_production_grid_embeds_without_jitter():
 
 def test_sample_unconditional_is_deterministic():
     plan = build_sampler(make_kernel(1.0), Grid(0.1, 2.0))
-    a = sample_unconditional(plan, 12345)
-    b = sample_unconditional(plan, 12345)
-    c = sample_unconditional(plan, 12346)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-    assert a.values.shape == (plan.grid.n,)
-    assert np.isfinite(a.values).all()
-    assert a.seed == 12345
+    pair = sample_unconditional(plan, 12345)
+    again = sample_unconditional(plan, 12345)
+    other = sample_unconditional(plan, 12346)
+    assert len(pair) == 2
+    assert not np.array_equal(pair[0].values, pair[1].values)
+    for a, b, c in zip(pair, again, other):
+        np.testing.assert_array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, c.values)
+        assert a.values.shape == (plan.grid.n,)
+        assert np.isfinite(a.values).all()
+        assert a.seed == 12345
 
 
 def test_empirical_covariance_matches_kernel():
+    # both halves of each draw carry the kernel covariance, and the halves are
+    # independent: their cross-covariance vanishes at every lag, both ways
     k = make_kernel(1.0)
     g = Grid(0.25, 1.0)
     plan = build_sampler(k, g)
     n = 3000
-    vals = np.empty((n, g.n))
-    for i in range(n):
-        vals[i] = sample_unconditional(plan, substream_seed(97, 0, i)).values
+    pairs = [sample_unconditional(plan, substream_seed(97, 0, i)) for i in range(n)]
+    first = np.vstack([a.values for a, _ in pairs])
+    second = np.vstack([b.values for _, b in pairs])
     o = g.origin_index
     for offset in (0, 2, 4):
-        prods = vals[:, o] * vals[:, o + offset]
         target = math.exp(-0.25 * offset)
-        se = prods.std(ddof=1) / math.sqrt(n)
-        assert abs(prods.mean() - target) <= 4.0 * se
+        for x, y, want in (
+            (first, first, target),
+            (second, second, target),
+            (first, second, 0.0),
+            (second, first, 0.0),
+        ):
+            prods = x[:, o] * y[:, o + offset]
+            se = prods.std(ddof=1) / math.sqrt(n)
+            assert abs(prods.mean() - want) <= 4.0 * se
 
 
 def test_truncated_normal_draws_exceed_threshold():
@@ -141,10 +156,8 @@ def test_conditional_exceedance_pins_origin_above_threshold():
     plan = build_sampler(k, Grid(0.002, 0.8))
     u = 5.0
     n = 4000
-    excess = np.empty(n)
-    for i in range(n):
-        p = sample_conditional_exceedance(plan, u, substream_seed(8, 0, i))
-        excess[i] = p.values[p.origin_index] - u
+    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, 8, 0)
+    excess = np.array([p.values[p.origin_index] - u for p in paths])
     assert (excess > 0.0).all()
     # exact conditioning: mean overshoot equals the Mills-ratio value
     target = 0.18650396712585415  # E[X - 5 | X > 5], X standard normal
@@ -154,9 +167,11 @@ def test_conditional_exceedance_pins_origin_above_threshold():
 
 def test_conditional_exceedance_is_deterministic():
     plan = build_sampler(make_kernel(1.0), Grid(0.1, 2.0))
-    a = sample_conditional_exceedance(plan, 3.0, 42)
-    b = sample_conditional_exceedance(plan, 3.0, 42)
-    np.testing.assert_array_equal(a.values, b.values)
+    pair = sample_conditional_exceedance(plan, 3.0, 42)
+    again = sample_conditional_exceedance(plan, 3.0, 42)
+    for a, b in zip(pair, again, strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
+    assert not np.array_equal(pair[0].values, pair[1].values)
 
 
 def test_vacuous_conditioning_recovers_unconditional_law():
@@ -164,9 +179,8 @@ def test_vacuous_conditioning_recovers_unconditional_law():
     g = Grid(0.25, 1.0)
     plan = build_sampler(k, g)
     n = 2500
-    vals = np.vstack(
-        [sample_conditional_exceedance(plan, -1e9, substream_seed(13, 0, i)).values for i in range(n)]
-    )
+    paths = replicates(partial(sample_conditional_exceedance, plan, -1e9), n, 13, 0)
+    vals = np.vstack([p.values for p in paths])
     o = g.origin_index
     for offset, lag in ((0, 0.0), (2, 0.5), (4, 1.0)):
         prods = vals[:, o] * vals[:, o + offset]
@@ -181,9 +195,8 @@ def test_conditional_residual_covariance_is_exact():
     g = Grid(0.25, 1.0)
     plan = build_sampler(k, g)
     n = 3000
-    vals = np.vstack(
-        [sample_conditional_exceedance(plan, 6.0, substream_seed(14, 0, i)).values for i in range(n)]
-    )
+    paths = replicates(partial(sample_conditional_exceedance, plan, 6.0), n, 14, 0)
+    vals = np.vstack([p.values for p in paths])
     o = g.origin_index
     profile = k.value(g.times())
     resid = vals - np.outer(vals[:, o], profile)
@@ -211,9 +224,8 @@ def test_conditional_marginal_matches_limit_components():
     plan = build_sampler(k, g)
     col = g.origin_index + 5
     n = 4000
-    draws = np.array(
-        [sample_conditional_exceedance(plan, u, substream_seed(15, 0, i)).values[col] for i in range(n)]
-    )
+    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, 15, 0)
+    draws = np.array([p.values[col] for p in paths])
     y = u * (draws - u)
     c = c_alpha(1.0)
     se_mean = y.std(ddof=1) / math.sqrt(n)
@@ -238,9 +250,8 @@ def test_path_derivative_variance_matches_curvature():
     # fine grid reproduce the variance up to O(step^2) bias
     plan = build_sampler(make_kernel(2.0), Grid(0.001, 0.002))
     n = 5000
-    slopes = np.array(
-        [path_derivative_at_zero(sample_unconditional(plan, substream_seed(16, 0, i))) for i in range(n)]
-    )
+    paths = replicates(partial(sample_unconditional, plan), n, 16, 0)
+    slopes = np.array([path_derivative_at_zero(p) for p in paths])
     var = slopes.var(ddof=1)
     se = var * math.sqrt(2.0 / (n - 1))
     assert abs(var - 2.0) <= 3.0 * se

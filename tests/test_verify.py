@@ -30,7 +30,6 @@ from excursions import (
     median_excursion_length,
     run_verification,
     simulate_excursion_lengths,
-    thread_budget,
     wasserstein1,
 )
 from excursions.streams import generator, substream_seed
@@ -168,31 +167,16 @@ def test_wasserstein_hand_oracles():
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
-def test_thread_budget_resolution(monkeypatch):
-    monkeypatch.delenv("EXCURSION_THREADS", raising=False)
-    assert thread_budget(5) == 5
-    assert thread_budget() >= 1
-    monkeypatch.setenv("EXCURSION_THREADS", "3")
-    assert thread_budget() == 3
-    assert thread_budget(2) == 2  # explicit argument wins
-
-
-@pytest.mark.parametrize("env", ["abc", "1.5", "0", "-2"])
-def test_thread_budget_rejects_malformed_counts(monkeypatch, env):
-    monkeypatch.setenv("EXCURSION_THREADS", env)
-    with pytest.raises(DomainError):
-        thread_budget()
-    with pytest.raises(DomainError):
-        thread_budget(0)
-
-
-def test_simulated_lengths_independent_of_worker_count():
+@pytest.mark.parametrize("n", [47, 48])
+def test_simulated_lengths_are_a_prefix_of_longer_runs(n):
+    # replicate i is half i % 2 of substream i // 2, so a run of n replicates,
+    # odd or even, is the first n replicates of a longer run
     k = make_kernel(2.0)
     g = c2_grid(6.0)
-    serial, cens_s = simulate_excursion_lengths(k, 6.0, g, 48, 4321, max_workers=1)
-    threaded, cens_t = simulate_excursion_lengths(k, 6.0, g, 48, 4321, max_workers=4)
-    np.testing.assert_array_equal(serial, threaded)
-    assert cens_s == cens_t
+    short, cens_s = simulate_excursion_lengths(k, 6.0, g, n, 4321)
+    longer, cens_l = simulate_excursion_lengths(k, 6.0, g, n + 3, 4321)
+    assert cens_s == cens_l == 0  # nothing censored, so indices line up
+    np.testing.assert_array_equal(short, longer[:n])
 
 
 def test_lane_separation():
@@ -203,10 +187,12 @@ def test_lane_separation():
     assert not np.array_equal(a, b)
 
 
-def test_draw_limit_lengths_deterministic_across_workers():
-    serial, _ = draw_limit_lengths(1.0, 1.0, Grid(0.02, 6.0), 24, 777, max_workers=1)
-    threaded, _ = draw_limit_lengths(1.0, 1.0, Grid(0.02, 6.0), 24, 777, max_workers=3)
-    np.testing.assert_array_equal(serial, threaded)
+@pytest.mark.parametrize("n", [23, 24])
+def test_draw_limit_lengths_are_a_prefix_of_longer_runs(n):
+    short, cens_s = draw_limit_lengths(1.0, 1.0, Grid(0.02, 6.0), n, 777)
+    longer, cens_l = draw_limit_lengths(1.0, 1.0, Grid(0.02, 6.0), n + 3, 777)
+    assert cens_s == cens_l == 0  # nothing censored, so indices line up
+    np.testing.assert_array_equal(short, longer[:n])
 
 
 def test_median_excursion_length_shrinks_with_threshold():
@@ -281,7 +267,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 2
+    assert json.loads(payload)["schema_version"] == 3
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
 
