@@ -6,6 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["substream_seed", "generator", "as_generator", "replicates"]
 
 
@@ -15,6 +17,8 @@ def substream_seed(master_seed: int, *lane: int) -> int:
     Pure function of its arguments, so a replicate's stream never depends on
     how many replicates a run draws or in which order.
     """
+    if master_seed < 0:
+        raise DomainError(f"master seed must be a non-negative integer, got {master_seed}")
     ss = np.random.SeedSequence(master_seed, spawn_key=lane)
     return int(ss.generate_state(1, np.uint64)[0])
 

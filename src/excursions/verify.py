@@ -16,7 +16,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .crossings import crossing_bounds
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
@@ -97,7 +96,15 @@ def ecdf(s: SampleSet, x: float) -> float:
 
 
 def _kolmogorov_pvalue(stat: float, n_eff: float) -> float:
-    return float(special.kolmogorov(math.sqrt(n_eff) * stat))
+    """P(K > sqrt(n_eff) * stat) for the Kolmogorov law K, from its two classical
+    series (theta-function form below 1); eight terms of either reach double precision."""
+    x = math.sqrt(n_eff) * stat
+    if x <= 0.0:
+        return 1.0
+    if x < 1.0:
+        c = -(math.pi**2) / (8.0 * x * x)
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(math.exp(c * (2 * k - 1) ** 2) for k in range(1, 9))
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 9))
 
 
 def ks_one_sample(s: SampleSet, cdf: Callable[[float], float]) -> tuple[float, float]:

@@ -159,13 +159,13 @@ def test_06_length_order_scaling():
 
 @_criterion("7 oracle cross-validation")
 def test_07_oracle_cross_validation():
-    # quadrature CDF against a million direct draws
+    # closed-form CDF against a million direct draws
     params = C2LimitParams(1.0, -2.0)
     draws = np.sort(c2_limit_sample(params, 555, size=1_000_000))
     xs = np.linspace(0.0, 8.0 * params.scale, 400)
     emp = np.searchsorted(draws, xs, side="right") / draws.size
-    quad = np.array([c2_limit_cdf(params, float(x)) for x in xs])
-    sup = float(np.abs(emp - quad).max())
+    closed = np.array([c2_limit_cdf(params, float(x)) for x in xs])
+    sup = float(np.abs(emp - closed).max())
     assert sup <= 0.005, f"CDF sup-distance {sup:.5f} > 0.005"
 
     # drift-normalized process lengths scale into limit-process lengths

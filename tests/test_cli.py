@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from excursions.cli import (
     build_parser,
     main,
 )
+import excursions
 from excursions import DomainError
 
 
@@ -189,6 +194,8 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         ["verify-c2", "--window-factor", "inf"],
         ["limit-cdf", "--range", "0:inf:1"],
         ["verify-c2", "--r0", "inf"],
+        ["verify-c2", "--n", "100", "--seed", "-1"],
+        ["sample-paths", "--n", "1", "--seed", "-5"],
     ],
     ids=[
         "verify-u0",
@@ -198,6 +205,8 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         "verify-window-inf",
         "cdf-range-inf",
         "verify-r0-inf",
+        "verify-seed-negative",
+        "paths-seed-negative",
     ],
 )
 def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
@@ -221,3 +230,33 @@ def test_unexpected_exception_exits_internal_error_with_traceback(tmp_path, monk
 def test_unknown_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from excursions.cli import main
+
+runs = [
+    (["limit-cdf"], {0}),
+    (["sample-paths", "--n", "2"], {0}),
+    (["diagnostics", "--n", "10"], {0}),
+    (["verify-c2", "--n", "100"], {0, 1}),
+    (["verify-ht", "--n", "100"], {0, 1}),
+]
+for argv, codes in runs:
+    code = main(argv + ["--out", argv[0] + ".out"])
+    assert code in codes, (argv, code)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_cli_commands_run_without_importing_scipy(tmp_path):
+    # a fresh interpreter, so modules the test suite imported do not count
+    src = str(Path(excursions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr

@@ -1,8 +1,9 @@
-"""Smooth-regime limit law: quadrature CDF, sampler, and quantiles.
+"""Smooth-regime limit law: closed-form chi(3) CDF, sampler, and quantiles.
 
-The independent oracle is the chi(3) reduction: scale * sqrt(Z^2 + 2T) with
-Z standard normal and T unit exponential has the Maxwell law with the same
-scale, so scipy.stats.maxwell checks the quadrature route end to end.
+Two independent oracles check the closed form.  Adaptive quadrature over the
+normal coordinate integrates the law from its definition s * sqrt(Z^2 + 2T),
+Z standard normal and T unit exponential; scipy.stats.maxwell gives the same
+law with the same scale.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from excursions import (
     C2LimitParams,
@@ -55,6 +56,30 @@ def test_cdf_matches_maxwell_on_a_grid():
     ref = stats.maxwell.cdf(xs, scale=SQRT2)
     got = np.array([c2_limit_cdf(PARAMS, float(x)) for x in xs])
     assert np.abs(got - ref).max() <= 1e-9
+
+
+def _quadrature_cdf(params, x):
+    """P(s * sqrt(Z^2 + 2T) <= x) by conditioning on Z = z: the integral of
+    phi(z) * P(2T <= a^2 - z^2) over |z| <= a, with a = x / s."""
+    a = x / params.scale
+    if a <= 0.0:
+        return 0.0
+
+    def integrand(z):
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * -math.expm1(-0.5 * (a * a - z * z))
+
+    # beyond |z| = 40 the normal density underflows; clipping loses < 1e-300 mass
+    hi = min(a, 40.0)
+    val, _ = integrate.quad(integrand, -hi, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return min(max(val, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("params", [PARAMS, C2LimitParams(3.0, -1.5)], ids=["unit", "r0-3"])
+def test_cdf_matches_quadrature_of_the_definition(params):
+    xs = np.linspace(0.0, 8.0 * params.scale, 201)[1:]
+    got = np.array([c2_limit_cdf(params, float(x)) for x in xs])
+    ref = np.array([_quadrature_cdf(params, float(x)) for x in xs])
+    assert np.abs(got - ref).max() <= 1e-12
 
 
 def test_cdf_respects_other_scales():

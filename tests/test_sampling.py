@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from excursions import (
     DomainError,
@@ -21,7 +21,7 @@ from excursions import (
     sample_truncated_normal,
     sample_unconditional,
 )
-from excursions.sampling import FACTOR_TOL, circulant_weights
+from excursions.sampling import _STD_NORMAL, FACTOR_TOL, _normal_tail, circulant_weights
 from excursions.streams import generator, replicates, substream_seed
 
 
@@ -141,6 +141,22 @@ def test_truncated_normal_domain_errors():
         sample_truncated_normal(0.0, 1.0, 1)
     with pytest.raises(DomainError):
         sample_truncated_normal(-1.0, 1.0, 1)
+
+
+def test_normal_tail_matches_scipy_ndtr():
+    # the inverse-CDF branch sees a = u / sigma <= 2, down to vacuous thresholds
+    a = np.linspace(-40.0, 2.0, 10_000)
+    got = np.array([_normal_tail(float(v)) for v in a])
+    ref = special.ndtr(-a)
+    assert np.max(np.abs(got - ref) / ref) <= 4e-15
+
+
+def test_normal_inverse_matches_scipy_ndtri():
+    # every level (1 - U) * P(Z > a) lies in (0, 1); cover it down to 1e-300
+    levels = np.geomspace(1e-300, 1.0, 10_001)[:-1]
+    got = np.array([_STD_NORMAL.inv_cdf(float(p)) for p in levels])
+    ref = special.ndtri(levels)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
 
 
 def test_truncated_normal_vacuous_threshold():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from excursions import (
     CensorBudgetExceeded,
@@ -33,7 +33,13 @@ from excursions import (
     wasserstein1,
 )
 from excursions.streams import generator, substream_seed
-from excursions.verify import CENSOR_BUDGET, LIMIT_LANE, PATH_LANE, QUANTILE_PROBS
+from excursions.verify import (
+    CENSOR_BUDGET,
+    LIMIT_LANE,
+    PATH_LANE,
+    QUANTILE_PROBS,
+    _kolmogorov_pvalue,
+)
 
 
 def test_substream_seeds_are_frozen():
@@ -92,6 +98,14 @@ def test_ks_two_sample_matches_scipy_statistic():
     z = math.sqrt(150.0 * 230.0 / 380.0) * stat
     series = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * z * z) for k in range(1, 80))
     assert p == pytest.approx(series, rel=1e-9)
+
+
+def test_kolmogorov_pvalue_matches_scipy_kolmogorov():
+    # both series branches, their meeting point x = 1, and the x = 0 edge
+    x = np.concatenate([np.linspace(0.0, 10.0, 100_001)[1:], [0.0, 1.0]])
+    got = np.array([_kolmogorov_pvalue(float(v), 1.0) for v in x])
+    assert np.max(np.abs(got - special.kolmogorov(x))) <= 1e-13
+    assert _kolmogorov_pvalue(0.0, 5000.0) == 1.0
 
 
 def test_ks_two_sample_trivial_cases():
