@@ -33,10 +33,9 @@ from .limit_law import C2LimitParams, c2_limit_cdf
 from .sampling import build_sampler, sample_conditional_exceedance
 from .streams import replicates
 from .verify import (
-    C2_WINDOW_FACTOR,
     DEFAULT_STEP_FACTOR,
-    HT_WINDOW_FACTOR,
     PATH_LANE,
+    WINDOW_FACTOR,
     Regime,
     VerificationGrids,
     c2_grid,
@@ -90,7 +89,7 @@ def _write_report(report, out: str) -> None:
     )
 
 
-def _add_common(sp, *, alpha: float, u: float, n: int, window_factor: float) -> None:
+def _add_common(sp, *, alpha: float, u: float, n: int) -> None:
     sp.add_argument("--alpha", type=float, default=alpha, help=f"kernel exponent (default {alpha})")
     sp.add_argument("--r0", type=float, default=1.0, help="covariance at zero (default 1.0)")
     sp.add_argument("--u", type=float, default=u, help=f"threshold level (default {u})")
@@ -104,8 +103,8 @@ def _add_common(sp, *, alpha: float, u: float, n: int, window_factor: float) -> 
     sp.add_argument(
         "--window-factor",
         type=float,
-        default=window_factor,
-        help=f"window half-width in regime units (default {window_factor})",
+        default=WINDOW_FACTOR,
+        help=f"window half-width in regime units, 1/u or delta_u (default {WINDOW_FACTOR})",
     )
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"master seed (default {DEFAULT_SEED})")
 
@@ -244,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify-c2", help="smooth-regime verification run (alpha = 2)")
-    _add_common(sp, alpha=2.0, u=6.0, n=5000, window_factor=C2_WINDOW_FACTOR)
+    _add_common(sp, alpha=2.0, u=6.0, n=5000)
     sp.add_argument("--out", default="report.json", help="report path (default report.json)")
     sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.set_defaults(handler=cmd_verify_c2)
 
     sp = sub.add_parser("verify-ht", help="heavy-tail verification run (alpha < 2)")
-    _add_common(sp, alpha=1.0, u=10.0, n=5000, window_factor=HT_WINDOW_FACTOR)
+    _add_common(sp, alpha=1.0, u=10.0, n=5000)
     sp.add_argument("--out", default="report.json", help="report path (default report.json)")
     sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.set_defaults(handler=cmd_verify_ht)
@@ -264,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_limit_cdf)
 
     sp = sub.add_parser("sample-paths", help="dump conditioned paths for inspection")
-    _add_common(sp, alpha=2.0, u=6.0, n=5, window_factor=C2_WINDOW_FACTOR)
+    _add_common(sp, alpha=2.0, u=6.0, n=5)
     sp.add_argument("--out", default="paths.csv", help="output path (default paths.csv)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(handler=cmd_sample_paths)
 
     sp = sub.add_parser("diagnostics", help="heavy-tail convergence diagnostics")
-    _add_common(sp, alpha=1.0, u=10.0, n=1000, window_factor=HT_WINDOW_FACTOR)
+    _add_common(sp, alpha=1.0, u=10.0, n=1000)
     sp.add_argument("--out", default="diagnostics.csv", help="output path (default diagnostics.csv)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(handler=cmd_diagnostics)

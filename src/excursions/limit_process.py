@@ -53,26 +53,27 @@ class LimitSample:
 
 
 @lru_cache(maxsize=32)
-def _fgn_weights(alpha: float, grid: Grid) -> np.ndarray:
-    """Circulant weights of the fractional Gaussian noise formed by the grid.n - 1
-    increments of an fBm with Var B(t) = |t|**alpha; cached because every
-    replicate on the same grid reuses them."""
+def _fgn_weights(alpha: float, grid: Grid) -> tuple[np.ndarray, float, int]:
+    """(weights, fro_error, embed_factor) of the circulant embedding of the
+    fractional Gaussian noise formed by the grid.n - 1 increments of an fBm
+    with Var B(t) = |t|**alpha; cached because every replicate on the same
+    grid reuses them, and reports read the embedding's quality back."""
     h = grid.step**alpha
 
     def autocov(k: np.ndarray) -> np.ndarray:
         k = k.astype(float)
         return 0.5 * h * ((k + 1.0) ** alpha + np.abs(k - 1.0) ** alpha - 2.0 * k**alpha)
 
-    weights, _, _ = circulant_weights(autocov, grid.n - 1)
-    weights.flags.writeable = False  # shared by every caller through the cache
-    return weights
+    embedding = circulant_weights(autocov, grid.n - 1)
+    embedding[0].flags.writeable = False  # shared by every caller through the cache
+    return embedding
 
 
 def _draw_fbm_values(alpha: float, grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Davies-Harte: cumulative sums of exact fGn, shifted so that B(0) = 0; two
     independent draws as a (2, grid.n) array.  Exact for the two-sided fBm
     because its increments are stationary."""
-    increments = circulant_draw(_fgn_weights(alpha, grid), grid.n - 1, rng)
+    increments = circulant_draw(_fgn_weights(alpha, grid)[0], grid.n - 1, rng)
     values = np.concatenate((np.zeros((2, 1)), np.cumsum(increments, axis=1)), axis=1)
     return values - values[:, grid.origin_index, None]
 

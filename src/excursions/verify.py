@@ -21,8 +21,8 @@ from .crossings import crossing_bounds
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
-from .limit_process import sample_limit_length
-from .sampling import Grid, build_sampler, sample_conditional_exceedance
+from .limit_process import _fgn_weights, sample_limit_length
+from .sampling import Grid, SamplerPlan, build_sampler, sample_conditional_exceedance
 from .streams import replicates, substream_seed
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
+# Reach quantiles the report's censoring block records for each lane.
+REACH_QUANTILES = {"reach_p50": 0.5, "reach_p99": 0.99, "reach_p999": 0.999}
 # Fraction of censored replicates a run may absorb before it aborts.
 CENSOR_BUDGET = 0.005
 # KS acceptance thresholds by regime at the default run sizes.
@@ -53,8 +55,11 @@ KS_THRESHOLDS = {"C2": 0.05, "HeavyTail": 0.08}
 MIN_RUN_SIZE = 100
 
 DEFAULT_STEP_FACTOR = 0.01
-C2_WINDOW_FACTOR = 20.0
-HT_WINDOW_FACTOR = 50.0
+# Path window half-width in regime units: 1/u smooth, delta_u heavy-tail.  In
+# the heavy-tail regime, 99.9% of excursions reach less than 12 delta_u from
+# the origin for alpha in [0.5, 1.5] and u in [6, 14] (seed 1729, n = 5000),
+# and a 20 delta_u window censors at most 1 replicate in 5000.
+WINDOW_FACTOR = 20.0
 LIMIT_GRID_STEP = 0.01
 LIMIT_GRID_HALF_WIDTH = 10.0
 
@@ -62,7 +67,7 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class Regime(Enum):
@@ -158,11 +163,29 @@ def wasserstein1(a: SampleSet, b: SampleSet) -> float:
 # replicate execution
 
 
-def _drop_censored(lengths: list[float]) -> tuple[np.ndarray, int]:
+# One row per replicate: tau_minus, tau_plus, length (nan when censored).
+_INTERVAL_ROW = np.dtype((float, 3))
+
+
+def _drop_censored(lengths: np.ndarray) -> tuple[np.ndarray, int]:
     """Finite lengths and the count of censored (nan) ones."""
-    arr = np.array(lengths, dtype=float)
-    kept = arr[~np.isnan(arr)]
-    return kept, arr.size - kept.size
+    kept = lengths[~np.isnan(lengths)]
+    return kept, lengths.size - kept.size
+
+
+def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> np.ndarray:
+    """Interval rows of n exactly conditioned paths on the plan's grid."""
+    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, lane)
+    results = (crossing_bounds(path, u) for path in paths)
+    return np.fromiter(((r.tau_minus, r.tau_plus, r.length) for r in results), _INTERVAL_ROW)
+
+
+def _limit_intervals(
+    alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int
+) -> np.ndarray:
+    """Interval rows of n draws of the heavy-tail limit interval on the grid."""
+    draws = replicates(partial(sample_limit_length, alpha, r0, grid), n, master_seed, lane)
+    return np.fromiter(((s.tau_star_minus, s.tau_star_plus, s.length) for s in draws), _INTERVAL_ROW)
 
 
 def simulate_excursion_lengths(
@@ -179,9 +202,7 @@ def simulate_excursion_lengths(
     Censored replicates (no crossing inside the window) are dropped and
     counted, never imputed.  Returns (lengths, n_censored).
     """
-    plan = build_sampler(kernel, grid)
-    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, lane)
-    return _drop_censored([crossing_bounds(path, u).length for path in paths])
+    return _drop_censored(_path_intervals(build_sampler(kernel, grid), u, n, master_seed, lane)[:, 2])
 
 
 def draw_limit_lengths(
@@ -195,8 +216,7 @@ def draw_limit_lengths(
 ) -> tuple[np.ndarray, int]:
     """n draws of the heavy-tail limit interval length; censored draws dropped
     and counted."""
-    samples = replicates(partial(sample_limit_length, alpha, r0, grid), n, master_seed, lane)
-    return _drop_censored([s.length for s in samples])
+    return _drop_censored(_limit_intervals(alpha, r0, grid, n, master_seed, lane)[:, 2])
 
 
 def median_excursion_length(
@@ -273,7 +293,7 @@ def covariance_panel(
 # verification driver
 
 
-def c2_grid(u: float, step_factor: float = DEFAULT_STEP_FACTOR, window_factor: float = C2_WINDOW_FACTOR) -> Grid:
+def c2_grid(u: float, step_factor: float = DEFAULT_STEP_FACTOR, window_factor: float = WINDOW_FACTOR) -> Grid:
     """Smooth-regime grid: resolution and window shrink like 1/u."""
     if not u > 0.0:
         raise DomainError(f"threshold u must be positive, got {u!r}")
@@ -284,7 +304,7 @@ def heavy_tail_grid(
     kernel: Kernel,
     u: float,
     step_factor: float = DEFAULT_STEP_FACTOR,
-    window_factor: float = HT_WINDOW_FACTOR,
+    window_factor: float = WINDOW_FACTOR,
 ) -> Grid:
     """Heavy-tail grid in units of the excursion scale delta_u."""
     d = delta_u(kernel, u)
@@ -316,6 +336,8 @@ class VerificationReport:
     runtime_seconds: float
     delta_u: float | None = None
     n_censored_limit: int | None = None
+    censoring: dict = field(default_factory=dict)
+    synthesis: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -332,6 +354,8 @@ class VerificationReport:
             "passed": self.passed,
             "config": self.config,
             "runtime_seconds": self.runtime_seconds,
+            "censoring": self.censoring,
+            "synthesis": self.synthesis,
         }
         if self.delta_u is not None:
             out["delta_u"] = self.delta_u
@@ -351,6 +375,38 @@ def _check_censor_budget(n_censored: int, n: int, what: str) -> None:
 
 def _grid_echo(grid: Grid) -> dict:
     return {"step": grid.step, "half_width": grid.half_width, "points": grid.n}
+
+
+def _censoring(intervals: np.ndarray, grid: Grid) -> dict:
+    """Censor counts per side, and the REACH_QUANTILES and maximum of each
+    replicate's reach max(|tau_-|, tau_+) as a fraction of the window's
+    half-width.  crossing_bounds parks a censored side on the last grid point,
+    so the half-width is measured to that point: a side is censored exactly
+    when it reaches 1."""
+    edge = grid.arm * grid.step  # == grid.times()[-1]
+    reach = np.abs(intervals[:, :2]) / edge
+    furthest = reach.max(axis=1)
+    quantiles = np.quantile(furthest, list(REACH_QUANTILES.values()))
+    return {
+        "censored_left": int(np.count_nonzero(reach[:, 0] >= 1.0)),
+        "censored_right": int(np.count_nonzero(reach[:, 1] >= 1.0)),
+        **{key: float(q) for key, q in zip(REACH_QUANTILES, quantiles)},
+        "reach_max": float(furthest.max()),
+    }
+
+
+def _versions() -> dict:
+    """Package and numpy versions from the installed distributions; a source
+    tree that was never installed reports the package's own __version__."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    from . import __version__
+
+    try:
+        package = version("excursions")
+    except PackageNotFoundError:
+        package = __version__
+    return {"excursions": package, "numpy": version("numpy")}
 
 
 def run_verification(
@@ -377,6 +433,14 @@ def run_verification(
         raise DomainError(f"verification needs n >= {MIN_RUN_SIZE}, got {n}")
     if not u > 0.0:
         raise DomainError(f"threshold u must be positive, got {u!r}")
+    if regime is Regime.C2 and kernel.alpha != 2.0:
+        raise DomainError("C2 verification requires alpha = 2")
+    if regime is Regime.HEAVY_TAIL:
+        if not kernel.alpha < 2.0:
+            raise DomainError("heavy-tail verification requires alpha < 2")
+        if grids.limit is None:
+            raise DomainError("heavy-tail verification needs a limit grid")
+    threshold = KS_THRESHOLDS[regime.value] if ks_threshold is None else ks_threshold
 
     config = {
         "regime": regime.value,
@@ -387,16 +451,19 @@ def run_verification(
         "master_seed": int(master_seed),
         "path_grid": _grid_echo(grids.path),
         "censor_budget": CENSOR_BUDGET,
+        "versions": _versions(),
     }
     if extra_config:
         config.update(extra_config)
 
+    plan = build_sampler(kernel, grids.path)
+    intervals = _path_intervals(plan, u, n, master_seed, PATH_LANE)
+    lengths, n_cens = _drop_censored(intervals[:, 2])
+    _check_censor_budget(n_cens, n, "path simulation")
+    censoring = {"path": _censoring(intervals, grids.path)}
+    synthesis = {"path": {"embed_factor": plan.embed_factor, "fro_error": plan.fro_error}}
+
     if regime is Regime.C2:
-        if kernel.alpha != 2.0:
-            raise DomainError("C2 verification requires alpha = 2")
-        threshold = KS_THRESHOLDS["C2"] if ks_threshold is None else ks_threshold
-        lengths, n_cens = simulate_excursion_lengths(kernel, u, grids.path, n, master_seed)
-        _check_censor_budget(n_cens, n, "path simulation")
         sample = make_sample_set(u * lengths, n_cens, master_seed)
         params = C2LimitParams(kernel.r0, second_derivative_at_zero(kernel))
         stat, pvalue = ks_one_sample(sample, lambda x: c2_limit_cdf(params, x))
@@ -415,18 +482,15 @@ def run_verification(
         d_u = None
         n_cens_limit = None
     else:
-        if not kernel.alpha < 2.0:
-            raise DomainError("heavy-tail verification requires alpha < 2")
-        if grids.limit is None:
-            raise DomainError("heavy-tail verification needs a limit grid")
-        threshold = KS_THRESHOLDS["HeavyTail"] if ks_threshold is None else ks_threshold
         d_u = delta_u(kernel, u)
-        lengths, n_cens = simulate_excursion_lengths(kernel, u, grids.path, n, master_seed)
-        _check_censor_budget(n_cens, n, "path simulation")
-        limit_lengths, n_cens_limit = draw_limit_lengths(
-            kernel.alpha, kernel.r0, grids.limit, n, master_seed
+        limit_intervals = _limit_intervals(
+            kernel.alpha, kernel.r0, grids.limit, n, master_seed, LIMIT_LANE
         )
+        limit_lengths, n_cens_limit = _drop_censored(limit_intervals[:, 2])
         _check_censor_budget(n_cens_limit, n, "limit-process draws")
+        censoring["limit"] = _censoring(limit_intervals, grids.limit)
+        _, fro_error, embed_factor = _fgn_weights(kernel.alpha, grids.limit)
+        synthesis["limit"] = {"embed_factor": embed_factor, "fro_error": fro_error}
         sample = make_sample_set(lengths / d_u, n_cens, master_seed)
         reference = make_sample_set(limit_lengths, n_cens_limit, master_seed)
         stat, pvalue = ks_two_sample(sample, reference)
@@ -455,4 +519,6 @@ def run_verification(
         runtime_seconds=time.perf_counter() - t0,
         delta_u=d_u,
         n_censored_limit=n_cens_limit,
+        censoring=censoring,
+        synthesis=synthesis,
     )

@@ -39,7 +39,9 @@ def test_parser_defaults_are_documented_values():
     assert (a.alpha, a.u, a.n, a.window_factor) == (2.0, 6.0, 5000, 20.0)
     assert (a.grid_step_factor, a.seed) == (0.01, DEFAULT_SEED)
     a = p.parse_args(["verify-ht"])
-    assert (a.alpha, a.u, a.window_factor) == (1.0, 10.0, 50.0)
+    assert (a.alpha, a.u, a.window_factor) == (1.0, 10.0, 20.0)
+    a = p.parse_args(["diagnostics"])
+    assert (a.alpha, a.u, a.n, a.window_factor) == (1.0, 10.0, 1000, 20.0)
     a = p.parse_args(["limit-cdf"])
     assert a.range == "0:10:0.01"
 
@@ -117,7 +119,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"]["window_factor"] == 20.0

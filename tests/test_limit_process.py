@@ -19,6 +19,7 @@ from excursions import (
     tilde_process_path,
 )
 from excursions.limit_process import _fgn_weights
+from excursions.sampling import FACTOR_TOL
 from excursions.streams import generator, replicates, substream_seed
 
 
@@ -39,7 +40,8 @@ def test_fbm_factor_reconstructs_covariance(alpha):
     # covariance the circulant weights deliver to the fGn increments, mapped
     # through cumsum-and-pin, must be the exact fBm covariance on the grid
     g = Grid(0.25, 1.5)
-    weights = _fgn_weights(alpha, g)
+    weights, fro_error, _ = _fgn_weights(alpha, g)
+    assert fro_error <= FACTOR_TOL
     m = g.n - 1
     fgn_row = np.fft.ifft(weights**2 * weights.size).real[:m]
     lag = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])

@@ -32,6 +32,8 @@ from excursions import (
     simulate_excursion_lengths,
     wasserstein1,
 )
+from excursions import verify
+from excursions.sampling import FACTOR_TOL
 from excursions.streams import generator, substream_seed
 from excursions.verify import (
     CENSOR_BUDGET,
@@ -281,7 +283,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 3
+    assert json.loads(payload)["schema_version"] == 4
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
 
@@ -303,3 +305,56 @@ def test_run_verification_enforces_censor_budget():
     grids = VerificationGrids(path=c2_grid(6.0, window_factor=0.5))
     with pytest.raises(CensorBudgetExceeded):
         run_verification(Regime.C2, k, 6.0, grids, 150, 7)
+
+
+_REACH_KEYS = ("reach_p50", "reach_p99", "reach_p999", "reach_max")
+
+
+def test_censoring_block_counts_each_side(monkeypatch):
+    # a 2.5 delta_u window censors a few replicates of each lane, each on one
+    # side only, so the per-side counts add up to the censored totals
+    monkeypatch.setattr(verify, "CENSOR_BUDGET", 1.0)
+    k = make_kernel(1.0)
+    grids = VerificationGrids(heavy_tail_grid(k, 10.0, 0.02, 2.5), limit_grid(0.02, 2.5))
+    report = run_verification(Regime.HEAVY_TAIL, k, 10.0, grids, 200, 13)
+    path, limit = report.censoring["path"], report.censoring["limit"]
+    assert min(path["censored_left"], path["censored_right"]) > 0
+    assert min(limit["censored_left"], limit["censored_right"]) > 0
+    assert path["censored_left"] + path["censored_right"] == report.n_censored
+    assert limit["censored_left"] + limit["censored_right"] == report.n_censored_limit
+    # a censored side is parked on the window's last grid point
+    assert path["reach_max"] == limit["reach_max"] == 1.0
+
+
+@pytest.mark.parametrize("alpha, u", [(2.0, 6.0), (1.0, 10.0)])
+def test_report_blocks_on_an_uncensored_run(alpha, u):
+    k = make_kernel(alpha)
+    if alpha == 2.0:
+        regime, grids, lanes = Regime.C2, VerificationGrids(path=c2_grid(u)), ["path"]
+    else:
+        regime, lanes = Regime.HEAVY_TAIL, ["limit", "path"]
+        grids = VerificationGrids(path=heavy_tail_grid(k, u), limit=limit_grid(0.02, 6.0))
+    report = run_verification(regime, k, u, grids, 200, 2024)
+    assert report.n_censored == (report.n_censored_limit or 0) == 0
+    assert sorted(report.censoring) == sorted(report.synthesis) == lanes
+    for lane in lanes:
+        block = report.censoring[lane]
+        assert block["censored_left"] == block["censored_right"] == 0
+        reach = [block[key] for key in _REACH_KEYS]
+        assert 0.0 < reach[0] <= reach[1] <= reach[2] <= reach[3] < 1.0
+        embedding = report.synthesis[lane]
+        assert embedding["embed_factor"] >= 1
+        assert 0.0 <= embedding["fro_error"] <= FACTOR_TOL
+    assert set(report.config["versions"]) == {"excursions", "numpy"}
+    assert report.config["versions"]["numpy"] == np.__version__
+    payload = json.loads(json.dumps(report.to_dict()))
+    assert payload["censoring"] == report.censoring and payload["synthesis"] == report.synthesis
+
+
+def test_default_heavy_tail_window_covers_the_longest_reach():
+    # alpha = 0.5 reaches furthest in delta_u units; the default window must
+    # keep its censor rate well inside the budget at a high threshold
+    k = make_kernel(0.5)
+    n = 2000
+    _, n_censored = simulate_excursion_lengths(k, 14.0, heavy_tail_grid(k, 14.0), n, 1729)
+    assert n_censored / n <= CENSOR_BUDGET / 5
