@@ -166,7 +166,10 @@ def _parse_range(spec: str) -> np.ndarray:
     if step <= 0 or stop < start:
         raise DomainError(f"range needs step > 0 and stop >= start, got {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    try:
+        return start + step * np.arange(count)
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"range {spec!r} has {count} points, too many to tabulate") from exc
 
 
 def cmd_limit_cdf(args) -> int:

@@ -108,22 +108,36 @@ def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) 
     return num / den
 
 
+def _next_smooth(m: int) -> int:
+    """Smallest integer >= m with no prime factor above 5, so that an FFT of
+    twice that length never falls back to Bluestein's algorithm."""
+    best = 2 ** max(m - 1, 0).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 = 3**i * 5**j, times the least power of two reaching m
+            best = min(best, p35 * 2 ** max(-(-m // p35) - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def circulant_weights(
     autocov: Callable[[np.ndarray], np.ndarray], n: int
 ) -> tuple[np.ndarray, float, int]:
     """Spectral weights of an exact circulant embedding of a stationary
     n-point Gaussian vector whose lag-k covariance is autocov(k).
 
-    Embeddings padded by factors 1, 2, 4, ... are tried in turn, up to
-    MAX_EMBED_SIZE circulant points.  One is rejected when its spectrum dips
-    below -EIGENVALUE_TOL * max eigenvalue, or when the covariance the clamped
-    spectrum delivers misses the target by more than FACTOR_TOL in relative
-    Frobenius norm.  Returns (weights, fro_error, embed_factor), else raises
-    SynthesisError.
+    Embeddings of the Toeplitz row out to lag _next_smooth(f * (n - 1)), for
+    doubling factors f = 1, 2, 4, ..., are tried in turn, up to MAX_EMBED_SIZE
+    circulant points; the first n points of a longer row's embedding are still
+    exact.  One is rejected when its spectrum dips below -EIGENVALUE_TOL * max
+    eigenvalue, or when the covariance the clamped spectrum delivers misses the
+    target by more than FACTOR_TOL in relative Frobenius norm.  Returns
+    (weights, fro_error, embed_factor), else raises SynthesisError.
     """
     embed_factor = 1
-    while 2 * embed_factor * (n - 1) <= MAX_EMBED_SIZE:
-        ext = embed_factor * (n - 1)
+    while 2 * (ext := _next_smooth(embed_factor * (n - 1))) <= MAX_EMBED_SIZE:
         row = autocov(np.arange(ext + 1))
         c = np.concatenate([row, row[-2:0:-1]])  # wrapped row, length 2 * ext
         lam = np.fft.fft(c).real

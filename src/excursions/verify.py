@@ -67,7 +67,7 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class Regime(Enum):
@@ -242,7 +242,9 @@ def covariance_panel(
 ) -> list[dict]:
     """Empirical covariance of the scaled conditional residual u * Z_t at
     pair times (s, t) in delta_u units, against the fBm target
-    c_alpha * (|s|^a + |t|^a - |s-t|^a).
+    c_alpha * (|s|^a + |t|^a - |s-t|^a) of the u -> infinity limit, and against
+    the exact finite_u_target u^2 * (R((s-t) d) - R(s d) R(t d) / R(0)),
+    d = delta_u, which holds at any u because Z is independent of X_0.
 
     Z_t = X_t - (R(t)/R(0)) * X_0 on the conditioned path; the panel times must
     land on grid points.
@@ -273,6 +275,7 @@ def covariance_panel(
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha
+    r = kernel.value
 
     out = []
     for s, t in pairs:
@@ -283,8 +286,17 @@ def covariance_panel(
         var_y = float(np.var(ys, ddof=1))
         se = math.sqrt((var_x * var_y + cov * cov) / n)
         target = c * (abs(s) ** a + abs(t) ** a - abs(s - t) ** a)
+        finite_u_target = u * u * (r((s - t) * d) - r(s * d) * r(t * d) / kernel.r0)
         out.append(
-            {"s": float(s), "t": float(t), "empirical": cov, "target": target, "se": se, "n": n}
+            {
+                "s": float(s),
+                "t": float(t),
+                "empirical": cov,
+                "target": target,
+                "finite_u_target": finite_u_target,
+                "se": se,
+                "n": n,
+            }
         )
     return out
 
@@ -395,6 +407,13 @@ def _censoring(intervals: np.ndarray, grid: Grid) -> dict:
     }
 
 
+def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int) -> dict:
+    """Quality and size of one lane's circulant embedding; fft_len is the
+    circulant length, which padding to a 5-smooth size decouples from
+    embed_factor."""
+    return {"embed_factor": embed_factor, "fro_error": fro_error, "fft_len": int(weights.size)}
+
+
 def _versions() -> dict:
     """Package and numpy versions from the installed distributions; a source
     tree that was never installed reports the package's own __version__."""
@@ -461,7 +480,7 @@ def run_verification(
     lengths, n_cens = _drop_censored(intervals[:, 2])
     _check_censor_budget(n_cens, n, "path simulation")
     censoring = {"path": _censoring(intervals, grids.path)}
-    synthesis = {"path": {"embed_factor": plan.embed_factor, "fro_error": plan.fro_error}}
+    synthesis = {"path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor)}
 
     if regime is Regime.C2:
         sample = make_sample_set(u * lengths, n_cens, master_seed)
@@ -489,8 +508,7 @@ def run_verification(
         limit_lengths, n_cens_limit = _drop_censored(limit_intervals[:, 2])
         _check_censor_budget(n_cens_limit, n, "limit-process draws")
         censoring["limit"] = _censoring(limit_intervals, grids.limit)
-        _, fro_error, embed_factor = _fgn_weights(kernel.alpha, grids.limit)
-        synthesis["limit"] = {"embed_factor": embed_factor, "fro_error": fro_error}
+        synthesis["limit"] = _synthesis(*_fgn_weights(kernel.alpha, grids.limit))
         sample = make_sample_set(lengths / d_u, n_cens, master_seed)
         reference = make_sample_set(limit_lengths, n_cens_limit, master_seed)
         stat, pvalue = ks_two_sample(sample, reference)

@@ -119,7 +119,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 4
+    assert payload["schema_version"] == 5
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"]["window_factor"] == 20.0
@@ -195,6 +195,7 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         ["diagnostics", "--n", "1"],
         ["verify-c2", "--window-factor", "inf"],
         ["limit-cdf", "--range", "0:inf:1"],
+        ["limit-cdf", "--range", "0:1e15:1e-6"],
         ["verify-c2", "--r0", "inf"],
         ["verify-c2", "--n", "100", "--seed", "-1"],
         ["sample-paths", "--n", "1", "--seed", "-5"],
@@ -206,6 +207,7 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         "diagnostics-n1",
         "verify-window-inf",
         "cdf-range-inf",
+        "cdf-range-too-long",
         "verify-r0-inf",
         "verify-seed-negative",
         "paths-seed-negative",

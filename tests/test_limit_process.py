@@ -12,6 +12,7 @@ from excursions import (
     Grid,
     c_alpha,
     fbm_two_sided,
+    limit_grid,
     limit_hitting_interval,
     limit_process_path,
     sample_limit_length,
@@ -50,6 +51,14 @@ def test_fbm_factor_reconstructs_covariance(alpha):
     pinned = cumsum - cumsum[g.origin_index]
     realized = pinned @ fgn_cov @ pinned.T
     np.testing.assert_allclose(realized, _fbm_cov(g.times(), alpha), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5])
+def test_default_limit_grid_embeds_on_a_smooth_fft_length(alpha):
+    # 2000 increments: the row out to lag 1999 (prime) is padded to lag 2000
+    weights, fro_error, embed_factor = _fgn_weights(alpha, limit_grid())
+    assert (weights.size, embed_factor) == (4000, 1)
+    assert fro_error <= FACTOR_TOL
 
 
 def test_fbm_cov_hand_values():

@@ -15,13 +15,21 @@ from excursions import (
     Path,
     SynthesisError,
     build_sampler,
+    c2_grid,
+    heavy_tail_grid,
     make_kernel,
     path_derivative_at_zero,
     sample_conditional_exceedance,
     sample_truncated_normal,
     sample_unconditional,
 )
-from excursions.sampling import _STD_NORMAL, FACTOR_TOL, _normal_tail, circulant_weights
+from excursions.sampling import (
+    _STD_NORMAL,
+    FACTOR_TOL,
+    _next_smooth,
+    _normal_tail,
+    circulant_weights,
+)
 from excursions.streams import generator, replicates, substream_seed
 
 
@@ -57,7 +65,45 @@ def test_build_sampler_prefers_circulant_embedding():
     plan = build_sampler(make_kernel(1.0), Grid(0.1, 2.0))
     assert plan.fro_error <= FACTOR_TOL
     assert plan.embed_factor >= 1
-    assert plan.spectral_weights.size == 2 * plan.embed_factor * (plan.grid.n - 1)
+    assert plan.spectral_weights.size == 2 * _next_smooth(plan.embed_factor * (plan.grid.n - 1))
+
+
+def _brute_next_smooth(m):
+    k = m
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+def test_next_smooth_matches_brute_force():
+    got = [_next_smooth(m) for m in range(1, 20001)]
+    assert got == [_brute_next_smooth(m) for m in range(1, 20001)]
+
+
+def test_embedding_pads_a_prime_extent_to_a_smooth_length():
+    # 2857 is prime: the padded row reaches lag 2880 = 2**6 * 3**2 * 5, and the
+    # first n points stay exact
+    weights, fro_error, embed_factor = circulant_weights(make_kernel(1.0).value, 2858)
+    assert (weights.size, embed_factor) == (2 * 2880, 1)
+    assert fro_error <= FACTOR_TOL
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5])
+@pytest.mark.parametrize("u", [6.0, 10.0, 14.0])
+def test_default_path_grids_keep_their_circulant_length(alpha, u):
+    # the default extents f * (n - 1) = f * 4000 are already 5-smooth, so padding
+    # leaves the circulant, and with it the path stream, as it was
+    heavy = make_kernel(alpha)
+    for kernel, grid in ((make_kernel(2.0), c2_grid(u)), (heavy, heavy_tail_grid(heavy, u))):
+        plan = build_sampler(kernel, grid)
+        assert grid.n - 1 == 4000
+        assert plan.spectral_weights.size == 2 * plan.embed_factor * (grid.n - 1)
+    assert plan.embed_factor == 1  # the heavy-tail kernel embeds unpadded
 
 
 def test_circulant_weights_reject_an_indefinite_covariance():

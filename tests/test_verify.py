@@ -33,7 +33,7 @@ from excursions import (
     wasserstein1,
 )
 from excursions import verify
-from excursions.sampling import FACTOR_TOL
+from excursions.sampling import FACTOR_TOL, _next_smooth
 from excursions.streams import generator, substream_seed
 from excursions.verify import (
     CENSOR_BUDGET,
@@ -238,11 +238,24 @@ def test_covariance_panel_structure_and_targets():
     assert len(rows) == 3
     c = c_alpha(1.0)
     for row, (s, t) in zip(rows, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)]):
-        assert set(row) == {"s", "t", "empirical", "target", "se", "n"}
+        assert set(row) == {"s", "t", "empirical", "target", "finite_u_target", "se", "n"}
         expected = c * (abs(s) + abs(t) - abs(s - t))
         assert row["target"] == pytest.approx(expected, rel=1e-12)
+        # R(t) = exp(-|t|): u^2 (R((s-t) d) - R(s d) R(t d) / R(0))
+        exact = u * u * (math.exp(-abs(s - t) * d) - math.exp(-(abs(s) + abs(t)) * d))
+        assert row["finite_u_target"] == pytest.approx(exact, rel=1e-12, abs=1e-12)
         assert np.isfinite(row["empirical"]) and row["se"] > 0.0
         assert row["n"] == 80
+
+
+def test_covariance_panel_matches_the_exact_finite_u_target():
+    # acceptance test 8's setup; the residual is independent of X_0, so its
+    # covariance is u^2 (R(s - t) - R(s) R(t) / R(0)) at any u, not only as u -> inf
+    rows = covariance_panel(make_kernel(1.0), 10.0, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)], 1500, 1729)
+    for row in rows:
+        assert abs(row["empirical"] - row["finite_u_target"]) <= 3.0 * row["se"], row
+    # at alpha = 1 the residuals on opposite sides of the origin are uncorrelated
+    assert rows[2]["finite_u_target"] == 0.0
 
 
 def test_covariance_panel_rejects_offgrid_times():
@@ -283,7 +296,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 4
+    assert json.loads(payload)["schema_version"] == 5
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
 
@@ -345,6 +358,8 @@ def test_report_blocks_on_an_uncensored_run(alpha, u):
         embedding = report.synthesis[lane]
         assert embedding["embed_factor"] >= 1
         assert 0.0 <= embedding["fro_error"] <= FACTOR_TOL
+        assert embedding["fft_len"] == 2 * _next_smooth(embedding["fft_len"] // 2)
+    assert report.synthesis["path"]["fft_len"] == 2 * (grids.path.n - 1)
     assert set(report.config["versions"]) == {"excursions", "numpy"}
     assert report.config["versions"]["numpy"] == np.__version__
     payload = json.loads(json.dumps(report.to_dict()))
