@@ -7,57 +7,43 @@ limit law, and the heavy-tail case alpha < 2, where they converge to the
 zero-hitting interval of a drifted fractional Brownian motion.
 """
 
-from .crossings import ExcursionResult, c2_root_predictor, crossing_bounds
+from .crossings import c2_root_predictor, crossing_bounds
 from .errors import (
     CensorBudgetExceeded,
     DomainError,
     EmptySampleError,
-    ExcursionsError,
     NotC2Error,
     NotHeavyTailError,
     PreconditionError,
     SynthesisError,
 )
 from .kernels import (
-    Kernel,
-    KernelFamily,
-    SpectralTail,
     c_alpha,
     delta_u,
-    kernel_value,
     make_kernel,
     pitman_ratio,
     second_derivative_at_zero,
     spectral_tail,
-    tail_profile,
 )
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
 from .limit_process import (
-    FbmPath,
-    LimitSample,
     fbm_two_sided,
-    limit_hitting_interval,
-    limit_process_path,
+    limit_process_values,
     sample_limit_length,
     sample_tilde_length,
-    tilde_process_path,
 )
 from .sampling import (
     Grid,
     Path,
-    SamplerPlan,
     build_sampler,
     path_derivative_at_zero,
     sample_conditional_exceedance,
     sample_truncated_normal,
     sample_unconditional,
 )
-from .streams import generator, substream_seed
 from .verify import (
     Regime,
-    SampleSet,
     VerificationGrids,
-    VerificationReport,
     c2_grid,
     covariance_panel,
     draw_limit_lengths,

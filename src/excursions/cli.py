@@ -109,51 +109,29 @@ def _add_common(sp, *, alpha: float, u: float, n: int) -> None:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"master seed (default {DEFAULT_SEED})")
 
 
-def cmd_verify_c2(args) -> int:
-    if args.alpha != 2.0:
-        raise DomainError("verify-c2 requires --alpha 2")
+def _path_grid(args, kernel):
+    """The command's path grid, in regime units: 1/u at alpha = 2, delta_u below."""
+    if kernel.alpha == 2.0:
+        return c2_grid(args.u, args.grid_step_factor, args.window_factor)
+    return heavy_tail_grid(kernel, args.u, args.grid_step_factor, args.window_factor)
+
+
+def cmd_verify(args) -> int:
+    """verify-c2 and verify-ht; run_verification rejects an alpha outside the regime."""
     kernel = make_kernel(args.alpha, args.r0)
-    grid = c2_grid(args.u, args.grid_step_factor, args.window_factor)
+    limit = limit_grid() if args.regime is Regime.HEAVY_TAIL else None
+    echo = {"grid_step_factor": args.grid_step_factor, "window_factor": args.window_factor}
     report = run_verification(
-        Regime.C2,
+        args.regime,
         kernel,
         args.u,
-        VerificationGrids(grid),
+        VerificationGrids(_path_grid(args, kernel), limit),
         args.n,
         args.seed,
-        extra_config=_flag_echo(args),
+        extra_config={"cli": echo},
     )
     _write_report(report, args.out)
     return EXIT_OK if report.passed else EXIT_ACCEPTANCE_FAILED
-
-
-def cmd_verify_ht(args) -> int:
-    if not 0.0 < args.alpha < 2.0:
-        raise DomainError("verify-ht requires --alpha in (0, 2)")
-    kernel = make_kernel(args.alpha, args.r0)
-    grids = VerificationGrids(
-        heavy_tail_grid(kernel, args.u, args.grid_step_factor, args.window_factor),
-        limit_grid(),
-    )
-    report = run_verification(
-        Regime.HEAVY_TAIL,
-        kernel,
-        args.u,
-        grids,
-        args.n,
-        args.seed,
-        extra_config=_flag_echo(args),
-    )
-    _write_report(report, args.out)
-    return EXIT_OK if report.passed else EXIT_ACCEPTANCE_FAILED
-
-
-def _flag_echo(args) -> dict:
-    echo = {}
-    for key in ("grid_step_factor", "window_factor", "format"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
-    return {"cli": echo}
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -190,12 +168,8 @@ def cmd_sample_paths(args) -> int:
     if args.n < 1:
         raise DomainError(f"sample-paths needs --n >= 1, got {args.n}")
     kernel = make_kernel(args.alpha, args.r0)
-    if args.alpha == 2.0:
-        grid = c2_grid(args.u, args.grid_step_factor, args.window_factor)
-    else:
-        grid = heavy_tail_grid(kernel, args.u, args.grid_step_factor, args.window_factor)
-    plan = build_sampler(kernel, grid)
-    times = grid.times()
+    plan = build_sampler(kernel, _path_grid(args, kernel))
+    times = plan.grid.times()
     rows = []
     draw_pair = partial(sample_conditional_exceedance, plan, args.u)
     for i, path in enumerate(replicates(draw_pair, args.n, args.seed, PATH_LANE)):
@@ -215,7 +189,7 @@ def cmd_diagnostics(args) -> int:
     ts = np.geomspace(1.0, 1e-4, 25)
     curve = [(float(t), pitman_ratio(kernel, float(t))) for t in ts]
 
-    grid = heavy_tail_grid(kernel, args.u, args.grid_step_factor, args.window_factor)
+    grid = _path_grid(args, kernel)
     panel = covariance_panel(kernel, args.u, _COVARIANCE_PAIRS, args.n, args.seed, grid)
     if args.format == "json":
         _write_json(
@@ -245,17 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify-c2", help="smooth-regime verification run (alpha = 2)")
-    _add_common(sp, alpha=2.0, u=6.0, n=5000)
-    sp.add_argument("--out", default="report.json", help="report path (default report.json)")
-    sp.add_argument("--format", choices=("csv", "json"), default="json")
-    sp.set_defaults(handler=cmd_verify_c2)
-
-    sp = sub.add_parser("verify-ht", help="heavy-tail verification run (alpha < 2)")
-    _add_common(sp, alpha=1.0, u=10.0, n=5000)
-    sp.add_argument("--out", default="report.json", help="report path (default report.json)")
-    sp.add_argument("--format", choices=("csv", "json"), default="json")
-    sp.set_defaults(handler=cmd_verify_ht)
+    for name, regime, alpha, u, what in (
+        ("verify-c2", Regime.C2, 2.0, 6.0, "smooth-regime verification run (alpha = 2)"),
+        ("verify-ht", Regime.HEAVY_TAIL, 1.0, 10.0, "heavy-tail verification run (alpha < 2)"),
+    ):
+        sp = sub.add_parser(name, help=what)
+        _add_common(sp, alpha=alpha, u=u, n=5000)
+        sp.add_argument("--out", default="report.json", help="report path (default report.json)")
+        sp.set_defaults(handler=cmd_verify, regime=regime)
 
     sp = sub.add_parser("limit-cdf", help="tabulate the smooth-regime limit CDF")
     sp.add_argument("--alpha", type=float, default=2.0, help="kernel exponent (must be 2)")

@@ -10,34 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, NotC2Error, NotHeavyTailError
 
 __all__ = [
-    "KernelFamily",
     "Kernel",
-    "SpectralTail",
     "make_kernel",
-    "kernel_value",
     "second_derivative_at_zero",
     "c_alpha",
-    "tail_profile",
     "spectral_tail",
     "delta_u",
     "pitman_ratio",
 ]
 
 
-class KernelFamily(Enum):
-    EXP_POWER = "exp-power"
-
-
 @dataclass(frozen=True)
 class Kernel:
-    family: KernelFamily
     alpha: float
     r0: float = 1.0
 
@@ -54,11 +44,7 @@ def make_kernel(alpha: float, r0: float = 1.0) -> Kernel:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
     if not 0.0 < r0 < math.inf:
         raise DomainError(f"r0 must be positive and finite, got {r0!r}")
-    return Kernel(KernelFamily.EXP_POWER, float(alpha), float(r0))
-
-
-def kernel_value(k: Kernel, t) -> float:
-    return k.value(t)
+    return Kernel(float(alpha), float(r0))
 
 
 def second_derivative_at_zero(k: Kernel) -> float:
@@ -77,31 +63,16 @@ def c_alpha(alpha: float) -> float:
     return math.pi / (math.gamma(alpha) * math.sin(math.pi * alpha / 2.0))
 
 
-@dataclass(frozen=True)
-class SpectralTail:
-    """Power-law asymptote of the spectral measure's upper tail (total mass r0)."""
-
-    c_alpha: float
-    alpha: float
-    r0: float
-
-    def asymptote(self, x):
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr <= 0.0):
-            raise DomainError("tail asymptote is defined for x > 0 only")
-        out = (self.r0 / self.c_alpha) * arr ** (-self.alpha)
-        return float(out) if arr.ndim == 0 else out
-
-
-def tail_profile(k: Kernel) -> SpectralTail:
+def spectral_tail(k: Kernel, x):
+    """Mass of the spectral measure (total mass r0) beyond x, to first order:
+    r0 * x**-alpha / c_alpha; vectorized over x > 0."""
     if k.alpha >= 2.0:
         raise NotHeavyTailError("alpha = 2 has no power-law spectral tail")
-    return SpectralTail(c_alpha(k.alpha), k.alpha, k.r0)
-
-
-def spectral_tail(k: Kernel, x: float) -> float:
-    """Mass of the spectral measure beyond x, to first order: r0 * x**-alpha / c_alpha."""
-    return tail_profile(k).asymptote(x)
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
+        raise DomainError("tail asymptote is defined for x > 0 only")
+    out = (k.r0 / c_alpha(k.alpha)) * arr ** (-k.alpha)
+    return float(out) if arr.ndim == 0 else out
 
 
 def delta_u(k: Kernel, u: float) -> float:

@@ -134,8 +134,13 @@ def circulant_weights(
     exact.  One is rejected when its spectrum dips below -EIGENVALUE_TOL * max
     eigenvalue, or when the covariance the clamped spectrum delivers misses the
     target by more than FACTOR_TOL in relative Frobenius norm.  Returns
-    (weights, fro_error, embed_factor), else raises SynthesisError.
+    (weights, fro_error, embed_factor), else raises SynthesisError; a grid
+    whose first embedding is already too large raises DomainError.
     """
+    if (size := 2 * _next_smooth(n - 1)) > MAX_EMBED_SIZE:  # before anything is allocated
+        raise DomainError(
+            f"embedding {n} grid points needs a circulant of {size} points, over the 2**23 limit"
+        )
     embed_factor = 1
     while 2 * (ext := _next_smooth(embed_factor * (n - 1))) <= MAX_EMBED_SIZE:
         row = autocov(np.arange(ext + 1))

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .crossings import crossing_bounds
+from .crossings import ExcursionResult, crossing_bounds
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
@@ -67,7 +67,7 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 class Regime(Enum):
@@ -82,15 +82,13 @@ class Regime(Enum):
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     values: np.ndarray  # sorted ascending, finite
-    n_censored: int = 0
-    master_seed: int | None = None
 
 
-def make_sample_set(values, n_censored: int = 0, master_seed: int | None = None) -> SampleSet:
+def make_sample_set(values) -> SampleSet:
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size and not np.all(np.isfinite(arr)):
         raise DomainError("sample values must be finite; censored draws are excluded, not imputed")
-    return SampleSet(arr, int(n_censored), master_seed)
+    return SampleSet(arr)
 
 
 def ecdf(s: SampleSet, x: float) -> float:
@@ -173,19 +171,17 @@ def _drop_censored(lengths: np.ndarray) -> tuple[np.ndarray, int]:
     return kept, lengths.size - kept.size
 
 
-def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> np.ndarray:
-    """Interval rows of n exactly conditioned paths on the plan's grid."""
-    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, lane)
-    results = (crossing_bounds(path, u) for path in paths)
+def _intervals(results: Iterable[ExcursionResult]) -> np.ndarray:
+    """Interval rows of excursion results, path crossings or limit draws alike."""
     return np.fromiter(((r.tau_minus, r.tau_plus, r.length) for r in results), _INTERVAL_ROW)
 
 
-def _limit_intervals(
-    alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int
-) -> np.ndarray:
-    """Interval rows of n draws of the heavy-tail limit interval on the grid."""
-    draws = replicates(partial(sample_limit_length, alpha, r0, grid), n, master_seed, lane)
-    return np.fromiter(((s.tau_star_minus, s.tau_star_plus, s.length) for s in draws), _INTERVAL_ROW)
+def _path_results(
+    plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int
+) -> Iterable[ExcursionResult]:
+    """Crossing results of n exactly conditioned paths on the plan's grid."""
+    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, lane)
+    return (crossing_bounds(path, u) for path in paths)
 
 
 def simulate_excursion_lengths(
@@ -202,7 +198,8 @@ def simulate_excursion_lengths(
     Censored replicates (no crossing inside the window) are dropped and
     counted, never imputed.  Returns (lengths, n_censored).
     """
-    return _drop_censored(_path_intervals(build_sampler(kernel, grid), u, n, master_seed, lane)[:, 2])
+    plan = build_sampler(kernel, grid)
+    return _drop_censored(_intervals(_path_results(plan, u, n, master_seed, lane))[:, 2])
 
 
 def draw_limit_lengths(
@@ -216,7 +213,8 @@ def draw_limit_lengths(
 ) -> tuple[np.ndarray, int]:
     """n draws of the heavy-tail limit interval length; censored draws dropped
     and counted."""
-    return _drop_censored(_limit_intervals(alpha, r0, grid, n, master_seed, lane)[:, 2])
+    draws = replicates(partial(sample_limit_length, alpha, r0, grid), n, master_seed, lane)
+    return _drop_censored(_intervals(draws)[:, 2])
 
 
 def median_excursion_length(
@@ -353,27 +351,8 @@ class VerificationReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": self.schema_version,
-            "regime": self.regime,
-            "ks_stat": self.ks_stat,
-            "ks_pvalue": self.ks_pvalue,
-            "wasserstein1": self.wasserstein1,
-            "quantiles": self.quantiles,
-            "n": self.n,
-            "n_censored": self.n_censored,
-            "ks_threshold": self.ks_threshold,
-            "passed": self.passed,
-            "config": self.config,
-            "runtime_seconds": self.runtime_seconds,
-            "censoring": self.censoring,
-            "synthesis": self.synthesis,
-        }
-        if self.delta_u is not None:
-            out["delta_u"] = self.delta_u
-        if self.n_censored_limit is not None:
-            out["n_censored_limit"] = self.n_censored_limit
-        return out
+        """The report's fields, without the heavy-tail ones a smooth run leaves None."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def _check_censor_budget(n_censored: int, n: int, what: str) -> None:
@@ -476,14 +455,14 @@ def run_verification(
         config.update(extra_config)
 
     plan = build_sampler(kernel, grids.path)
-    intervals = _path_intervals(plan, u, n, master_seed, PATH_LANE)
+    intervals = _intervals(_path_results(plan, u, n, master_seed, PATH_LANE))
     lengths, n_cens = _drop_censored(intervals[:, 2])
     _check_censor_budget(n_cens, n, "path simulation")
     censoring = {"path": _censoring(intervals, grids.path)}
     synthesis = {"path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor)}
 
     if regime is Regime.C2:
-        sample = make_sample_set(u * lengths, n_cens, master_seed)
+        sample = make_sample_set(u * lengths)
         params = C2LimitParams(kernel.r0, second_derivative_at_zero(kernel))
         stat, pvalue = ks_one_sample(sample, lambda x: c2_limit_cdf(params, x))
         reference = make_sample_set(
@@ -502,15 +481,14 @@ def run_verification(
         n_cens_limit = None
     else:
         d_u = delta_u(kernel, u)
-        limit_intervals = _limit_intervals(
-            kernel.alpha, kernel.r0, grids.limit, n, master_seed, LIMIT_LANE
-        )
+        draw_pair = partial(sample_limit_length, kernel.alpha, kernel.r0, grids.limit)
+        limit_intervals = _intervals(replicates(draw_pair, n, master_seed, LIMIT_LANE))
         limit_lengths, n_cens_limit = _drop_censored(limit_intervals[:, 2])
         _check_censor_budget(n_cens_limit, n, "limit-process draws")
         censoring["limit"] = _censoring(limit_intervals, grids.limit)
         synthesis["limit"] = _synthesis(*_fgn_weights(kernel.alpha, grids.limit))
-        sample = make_sample_set(lengths / d_u, n_cens, master_seed)
-        reference = make_sample_set(limit_lengths, n_cens_limit, master_seed)
+        sample = make_sample_set(lengths / d_u)
+        reference = make_sample_set(limit_lengths)
         stat, pvalue = ks_two_sample(sample, reference)
         w1 = wasserstein1(sample, reference)
         quantiles = [

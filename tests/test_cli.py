@@ -1,11 +1,16 @@
 """Command-line surface: flags, file outputs, exit codes, reproducibility."""
 
+import ast
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +29,7 @@ from excursions.cli import (
     main,
 )
 import excursions
-from excursions import DomainError
+from excursions import DomainError, sample_conditional_exceedance, sample_unconditional
 
 
 def _read_csv(path):
@@ -119,14 +124,46 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
-    assert payload["config"]["cli"]["window_factor"] == 20.0
+    assert payload["config"]["cli"] == {"grid_step_factor": 0.01, "window_factor": 20.0}
     qcsv = tmp_path / "report.quantiles.csv"
     header, rows = _read_csv(qcsv)
     assert header == ["p", "empirical", "reference"]
     assert [float(r[0]) for r in rows] == [0.05, 0.25, 0.5, 0.75, 0.95]
+
+
+@pytest.mark.parametrize("command", ["verify-c2", "verify-ht"])
+def test_verify_commands_take_no_format_flag(tmp_path, command):
+    # a report is always JSON; the flag was accepted and ignored once
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv", "--n", "200", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-c2", "--n", "200"], ["sample-paths", "--n", "1"]],
+    ids=["verify-c2", "sample-paths"],
+)
+def test_grid_too_large_to_embed_exits_config_error(tmp_path, capsys, argv):
+    # step 1e-6 / u with window 20 / u: 40 000 001 points, refused before allocation
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--grid-step-factor", "1e-6", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "40000001" in err and "2**23" in err
+    assert peak < 16 * 2**20  # the grid's times alone would take 320 MB
+    assert not out.exists()
 
 
 def test_verify_c2_reports_are_reproducible_minus_runtime(tmp_path):
@@ -229,6 +266,59 @@ def test_unexpected_exception_exits_internal_error_with_traceback(tmp_path, monk
     assert main(["limit-cdf", "--out", str(tmp_path / "cdf.csv")]) == EXIT_INTERNAL_ERROR
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# The package's public names: what the CLI, the tests and the README's library
+# tour use.  Everything else stays importable from its module.
+_PUBLIC_NAMES = frozenset(
+    {
+        "C2LimitParams", "CensorBudgetExceeded", "DomainError", "EmptySampleError",
+        "Grid", "NotC2Error", "NotHeavyTailError", "Path", "PreconditionError",
+        "Regime", "SynthesisError", "VerificationGrids", "build_sampler", "c2_grid",
+        "c2_limit_cdf", "c2_limit_quantile", "c2_limit_sample", "c2_root_predictor",
+        "c_alpha", "covariance_panel", "crossing_bounds", "delta_u",
+        "draw_limit_lengths", "ecdf", "fbm_two_sided", "heavy_tail_grid",
+        "ks_one_sample", "ks_two_sample", "limit_grid", "limit_process_values",
+        "make_kernel", "make_sample_set", "median_excursion_length",
+        "path_derivative_at_zero", "pitman_ratio", "run_verification",
+        "sample_conditional_exceedance", "sample_limit_length", "sample_tilde_length",
+        "sample_truncated_normal", "sample_unconditional", "second_derivative_at_zero",
+        "simulate_excursion_lengths", "spectral_tail", "wasserstein1",
+    }
+)
+
+
+def test_public_surface_is_frozen():
+    public = {
+        name
+        for name, value in vars(excursions).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == _PUBLIC_NAMES
+    assert len(_PUBLIC_NAMES) <= 45
+
+
+def _perfbench_layers():
+    """The (layer, module, function) triples perfbench/traced_cli.py wraps."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("traced_cli.py defines no LAYERS")
+
+
+def test_benchmark_hook_points_still_exist():
+    # the traced benchmark wraps these by name; a missing one silently reads
+    # absent, so a rename must fail here instead (_fbm_factor went with the
+    # dense fBm factor)
+    hooks = {(module, attr) for _, module, attr in _perfbench_layers() if attr != "_fbm_factor"}
+    hooks.add(("excursions.sampling", "sample_unconditional"))  # its replay baseline
+    assert len(hooks) >= 14
+    for module, attr in sorted(hooks):
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    # the replay binds the plan and seed arguments by name
+    for fn in (sample_conditional_exceedance, sample_unconditional):
+        assert {"plan", "seed"} <= set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_unknown_subcommand_is_an_argparse_error():

@@ -13,12 +13,10 @@ from excursions import (
     NotHeavyTailError,
     c_alpha,
     delta_u,
-    kernel_value,
     make_kernel,
     pitman_ratio,
     second_derivative_at_zero,
     spectral_tail,
-    tail_profile,
 )
 
 alphas = st.floats(min_value=0.05, max_value=2.0, allow_nan=False)
@@ -27,14 +25,14 @@ lags = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 def test_kernel_values_match_frozen_oracles():
     # literals precomputed with 64-bit math, not re-derived here
-    assert kernel_value(make_kernel(2.0), 1.0) == pytest.approx(
+    assert make_kernel(2.0).value(1.0) == pytest.approx(
         0.36787944117144233, abs=1e-15
     )
     k = make_kernel(1.3, r0=2.0)
-    assert kernel_value(k, 0.5) == pytest.approx(1.332452171202588, abs=1e-15)
+    assert k.value(0.5) == pytest.approx(1.332452171202588, abs=1e-15)
     k = make_kernel(0.6)
-    assert kernel_value(k, 1.7) == pytest.approx(0.25286628926452737, abs=1e-15)
-    assert kernel_value(k, 0.0) == 1.0
+    assert k.value(1.7) == pytest.approx(0.25286628926452737, abs=1e-15)
+    assert k.value(0.0) == 1.0
 
 
 def test_kernel_value_vectorizes():
@@ -49,10 +47,10 @@ def test_kernel_value_vectorizes():
 @given(alpha=alphas, t=lags)
 def test_kernel_symmetry_and_bounds(alpha, t):
     k = make_kernel(alpha, r0=1.5)
-    v = kernel_value(k, t)
-    assert kernel_value(k, -t) == v
+    v = k.value(t)
+    assert k.value(-t) == v
     assert 0.0 <= v <= 1.5  # may underflow to exactly zero at huge lags
-    assert kernel_value(k, 0.0) == 1.5
+    assert k.value(0.0) == 1.5
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,7 +140,7 @@ def test_spectral_tail_domain_errors():
     with pytest.raises(DomainError):
         spectral_tail(k, -1.0)
     with pytest.raises(NotHeavyTailError):
-        tail_profile(make_kernel(2.0))
+        spectral_tail(make_kernel(2.0), 1.0)
 
 
 def test_delta_u_frozen_value():

@@ -8,16 +8,15 @@ import pytest
 
 from excursions import (
     DomainError,
-    FbmPath,
     Grid,
+    Path,
     c_alpha,
+    crossing_bounds,
     fbm_two_sided,
     limit_grid,
-    limit_hitting_interval,
-    limit_process_path,
+    limit_process_values,
     sample_limit_length,
     sample_tilde_length,
-    tilde_process_path,
 )
 from excursions.limit_process import _fgn_weights
 from excursions.sampling import FACTOR_TOL
@@ -32,8 +31,9 @@ def _fbm_cov(times, alpha):
     return 0.5 * (s + t - d)
 
 
-def _zero_fbm(alpha, grid):
-    return FbmPath(grid=grid, values=np.zeros(grid.n), alpha=alpha, seed=0)
+def _hitting(grid, values):
+    """Zero-hitting interval of limit-path values around the origin."""
+    return crossing_bounds(Path(grid=grid, values=values, seed=0, origin_index=grid.origin_index), 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -73,13 +73,11 @@ def test_fbm_cov_hand_values():
 def test_fbm_two_sided_pins_origin_and_is_deterministic():
     g = Grid(0.1, 1.0)
     pair = fbm_two_sided(1.0, g, 314)
-    again = fbm_two_sided(1.0, g, 314)
-    for a, b in zip(pair, again, strict=True):
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.values[a.origin_index] == 0.0
-        assert a.values.shape == (g.n,)
-        assert a.alpha == 1.0
-    assert not np.array_equal(pair[0].values, pair[1].values)
+    np.testing.assert_array_equal(pair, fbm_two_sided(1.0, g, 314))
+    np.testing.assert_array_equal(pair, fbm_two_sided(1.0, g, generator(314)))  # seed or Generator
+    assert pair.shape == (2, g.n)
+    assert np.all(pair[:, g.origin_index] == 0.0)
+    assert not np.array_equal(pair[0], pair[1])
 
 
 def test_fbm_empirical_variance_scales_as_hurst_law():
@@ -88,8 +86,8 @@ def test_fbm_empirical_variance_scales_as_hurst_law():
     g = Grid(0.5, 2.0)
     n = 3000
     pairs = [fbm_two_sided(0.5, g, substream_seed(11, 0, i)) for i in range(n)]
-    first = np.vstack([a.values for a, _ in pairs])
-    second = np.vstack([b.values for _, b in pairs])
+    first = np.vstack([a for a, _ in pairs])
+    second = np.vstack([b for _, b in pairs])
     t = g.times()
     for idx in (0, g.n - 1, g.origin_index + 2):
         if idx == g.origin_index:
@@ -105,25 +103,24 @@ def test_fbm_empirical_variance_scales_as_hurst_law():
 def test_limit_process_deterministic_drift_geometry():
     # with the noise switched off, Y_t = r0 t* - (c/r0) |t|^alpha for t != 0
     g = Grid(0.01, 10.0)
-    fbm = _zero_fbm(1.0, g)
-    y = limit_process_path(1.0, 1.0, fbm, t_star=2.0)
-    assert y.values[g.origin_index] == 2.0  # Y(0) = r0 * t*, exactly
-    res = limit_hitting_interval(y)
+    y = limit_process_values(g, np.zeros(g.n), 2.0, 1.0, c_alpha(1.0), 1.0)
+    assert y[g.origin_index] == 2.0  # Y(0) = r0 * t*, exactly
+    res = _hitting(g, y)
     root = 2.0 / c_alpha(1.0)  # solves t* = c |t|
-    assert res.tau_star_plus == pytest.approx(root, abs=1e-9)
-    assert res.tau_star_minus == pytest.approx(-root, abs=1e-9)
+    assert res.tau_plus == pytest.approx(root, abs=1e-9)
+    assert res.tau_minus == pytest.approx(-root, abs=1e-9)
     assert res.length == pytest.approx(2.0 * root, abs=1e-9)
-    assert not res.censored
+    assert not (res.censored_left or res.censored_right)
 
 
 def test_tilde_process_deterministic_drift_geometry():
+    # the drift-normalized variant is the limit process with c = r0 = 1
     g = Grid(0.01, 10.0)
-    fbm = _zero_fbm(1.0, g)
-    y = tilde_process_path(1.0, fbm, t_star=0.5)
-    assert y.values[g.origin_index] == 0.5
-    res = limit_hitting_interval(y)
-    assert res.tau_star_plus == pytest.approx(0.5, abs=1e-12)
-    assert res.tau_star_minus == pytest.approx(-0.5, abs=1e-12)
+    y = limit_process_values(g, np.zeros(g.n), 0.5, 1.0, 1.0, 1.0)
+    assert y[g.origin_index] == 0.5
+    res = _hitting(g, y)
+    assert res.tau_plus == pytest.approx(0.5, abs=1e-12)
+    assert res.tau_minus == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_limit_process_mean_drift():
@@ -135,7 +132,7 @@ def test_limit_process_mean_drift():
     fbms = replicates(partial(fbm_two_sided, 1.0, g), n, 17, 1)
     for i, fbm in enumerate(fbms):
         t_star = float(generator(substream_seed(17, 0, i)).standard_exponential())
-        vals[i] = limit_process_path(1.0, 1.0, fbm, t_star).values[col]
+        vals[i] = limit_process_values(g, fbm, t_star, 1.0, c_alpha(1.0), 1.0)[col]
     target = 1.0 - c_alpha(1.0)
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - target) <= 3.0 * se
@@ -146,26 +143,23 @@ def test_tilde_and_limit_scaling_identity_without_noise():
     alpha, t_star = 1.0, 2.0
     c = c_alpha(alpha)
     scale = c ** (1.0 / alpha)
-    lim = limit_hitting_interval(
-        limit_process_path(alpha, 1.0, _zero_fbm(alpha, Grid(0.01, 10.0)), t_star)
-    )
-    til = limit_hitting_interval(
-        tilde_process_path(alpha, _zero_fbm(alpha, Grid(0.01 * scale, 10.0 * scale)), t_star)
-    )
+    g_lim, g_til = Grid(0.01, 10.0), Grid(0.01 * scale, 10.0 * scale)
+    lim = _hitting(g_lim, limit_process_values(g_lim, np.zeros(g_lim.n), t_star, alpha, c, 1.0))
+    til = _hitting(g_til, limit_process_values(g_til, np.zeros(g_til.n), t_star, alpha, 1.0, 1.0))
     assert til.length == pytest.approx(scale * lim.length, abs=1e-9)
 
 
 def test_limit_process_validation():
     g = Grid(0.1, 1.0)
-    fbm = _zero_fbm(0.5, g)
+    b = np.zeros(g.n)
     with pytest.raises(DomainError):
-        limit_process_path(1.0, 1.0, fbm, 1.0)  # alpha mismatch with the fbm draw
+        fbm_two_sided(2.0, g, 1)  # no fBm at Hurst index 1
     with pytest.raises(DomainError):
-        limit_process_path(0.5, -1.0, fbm, 1.0)
+        limit_process_values(g, b, 1.0, 0.5, c_alpha(0.5), -1.0)
     with pytest.raises(DomainError):
-        limit_process_path(0.5, 1.0, fbm, 0.0)
+        limit_process_values(g, b, 0.0, 0.5, c_alpha(0.5), 1.0)
     with pytest.raises(DomainError):
-        tilde_process_path(0.5, fbm, -2.0)
+        limit_process_values(g, b, -2.0, 0.5, 1.0, 1.0)
 
 
 def test_sample_limit_length_deterministic_and_positive():
@@ -173,15 +167,15 @@ def test_sample_limit_length_deterministic_and_positive():
     a = sample_limit_length(1.0, 1.0, g, 55)
     b = sample_limit_length(1.0, 1.0, g, 55)
     assert len(a) == 2
-    assert not any(s.censored for s in a)
+    assert not any(s.censored_left or s.censored_right for s in a)
     assert a == b
     assert a[0] != a[1]
     for s in replicates(partial(sample_limit_length, 1.0, 1.0, g), 50, 56, 1):
-        if s.censored:
+        if s.censored_left or s.censored_right:
             assert math.isnan(s.length)
         else:
-            assert s.tau_star_minus < 0.0 < s.tau_star_plus
-            assert s.length == pytest.approx(s.tau_star_plus - s.tau_star_minus, abs=1e-12)
+            assert s.tau_minus < 0.0 < s.tau_plus
+            assert s.length == pytest.approx(s.tau_plus - s.tau_minus, abs=1e-12)
 
 
 def test_sample_tilde_length_deterministic():
@@ -189,7 +183,7 @@ def test_sample_tilde_length_deterministic():
     a = sample_tilde_length(0.75, g, 77)
     b = sample_tilde_length(0.75, g, 77)
     assert len(a) == 2
-    assert not any(s.censored for s in a)
+    assert not any(s.censored_left or s.censored_right for s in a)
     assert a == b
 
 
@@ -199,11 +193,12 @@ def test_narrow_window_censors_without_bias():
     # redrawing censored intervals would push the narrow rate toward zero
     n = 2000
     narrow = sum(
-        s.censored for s in replicates(partial(sample_limit_length, 1.0, 1.0, Grid(0.01, 1.0)), n, 99, 1)
+        s.censored_left or s.censored_right
+        for s in replicates(partial(sample_limit_length, 1.0, 1.0, Grid(0.01, 1.0)), n, 99, 1)
     )
     wide = 0
     for s in replicates(partial(sample_limit_length, 1.0, 1.0, Grid(0.01, 10.0)), n, 99, 2):
-        wide += s.censored or max(-s.tau_star_minus, s.tau_star_plus) > 1.0
+        wide += s.censored_left or s.censored_right or max(-s.tau_minus, s.tau_plus) > 1.0
     p_narrow, p_wide = narrow / n, wide / n
     se = math.sqrt((p_narrow * (1.0 - p_narrow) + p_wide * (1.0 - p_wide)) / n)
     assert p_narrow > 0.05  # the narrow window does censor

@@ -1,6 +1,7 @@
 """Grid geometry, exact Gaussian path synthesis, and threshold conditioning."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -110,6 +111,39 @@ def test_circulant_weights_reject_an_indefinite_covariance():
     # unit variance with lag covariance 2 is no covariance; no padding embeds it
     with pytest.raises(SynthesisError):
         circulant_weights(lambda k: np.where(k == 0, 1.0, 2.0), 3)
+
+
+def test_a_grid_too_large_to_embed_is_a_domain_error_before_any_allocation():
+    def untouchable(k):
+        raise AssertionError("the covariance row must not be built")
+
+    # 40 000 001 points: the first embedding alone needs 8e7 circulant points
+    with pytest.raises(DomainError, match=r"80000000 points, over the 2\*\*23 limit"):
+        circulant_weights(untouchable, 40_000_001)
+    with pytest.raises(DomainError):
+        circulant_weights(untouchable, 2**22 + 2)  # one point past the largest extent
+    grid = c2_grid(6.0, step_factor=1e-6)
+    assert grid.n == 40_000_001
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            build_sampler(make_kernel(2.0), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the grid's times alone would take 320 MB
+
+
+def test_the_largest_embeddable_grid_passes_the_size_check():
+    class Reached(Exception):
+        pass
+
+    def autocov(k):
+        assert k.size == 2**22 + 1  # the row out to lag 2**22: a 2**23-point circulant
+        raise Reached
+
+    with pytest.raises(Reached):
+        circulant_weights(autocov, 2**22 + 1)
 
 
 def test_production_grid_embeds_without_jitter():

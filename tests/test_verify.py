@@ -53,9 +53,8 @@ def test_substream_seeds_are_frozen():
 
 
 def test_make_sample_set_sorts_and_validates():
-    s = make_sample_set([3.0, 1.0, 2.0], n_censored=4)
+    s = make_sample_set([3.0, 1.0, 2.0])
     np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0])
-    assert s.n_censored == 4
     with pytest.raises(DomainError):
         make_sample_set([1.0, math.nan])
     with pytest.raises(DomainError):
@@ -296,7 +295,8 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 5
+    assert json.loads(payload)["schema_version"] == 6
+    assert "delta_u" not in json.loads(payload)  # None fields are dropped
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
 
