@@ -34,7 +34,6 @@ from .limit_process import (
 )
 from .sampling import (
     Grid,
-    Path,
     build_sampler,
     path_derivative_at_zero,
     sample_conditional_exceedance,
@@ -42,8 +41,6 @@ from .sampling import (
     sample_unconditional,
 )
 from .verify import (
-    Regime,
-    VerificationGrids,
     c2_grid,
     covariance_panel,
     draw_limit_lengths,

@@ -1,6 +1,10 @@
 """Command-line front end: verification runs, limit-law tables, path dumps,
 and convergence diagnostics.
 
+The regime follows from the kernel exponent: verify-c2 and limit-cdf have the
+one smooth exponent alpha = 2 and take no --alpha flag; verify-ht and
+diagnostics need --alpha < 2; sample-paths takes either.
+
 Every command runs on one thread; replicate i of a run is half i % 2 of the
 path pair drawn from substream i // 2 of its seed (see verify).
 
@@ -36,12 +40,9 @@ from .verify import (
     DEFAULT_STEP_FACTOR,
     PATH_LANE,
     WINDOW_FACTOR,
-    Regime,
-    VerificationGrids,
     c2_grid,
     covariance_panel,
     heavy_tail_grid,
-    limit_grid,
     run_verification,
 )
 
@@ -64,11 +65,18 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    """Write rows as they come, so a generator is never held in memory whole;
+    if producing them fails, the partial file is removed."""
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except BaseException:
+        FilePath(path).unlink()
+        raise
 
 
 def _write_json(path: str, payload) -> None:
@@ -89,8 +97,12 @@ def _write_report(report, out: str) -> None:
     )
 
 
-def _add_common(sp, *, alpha: float, u: float, n: int) -> None:
-    sp.add_argument("--alpha", type=float, default=alpha, help=f"kernel exponent (default {alpha})")
+def _add_common(sp, *, alpha: float | None, u: float, n: int) -> None:
+    """The path and run flags; alpha None fixes alpha = 2, with no --alpha flag."""
+    if alpha is None:
+        sp.set_defaults(alpha=2.0)
+    else:
+        sp.add_argument("--alpha", type=float, default=alpha, help=f"kernel exponent (default {alpha})")
     sp.add_argument("--r0", type=float, default=1.0, help="covariance at zero (default 1.0)")
     sp.add_argument("--u", type=float, default=u, help=f"threshold level (default {u})")
     sp.add_argument("--n", type=int, default=n, help=f"replicates (default {n})")
@@ -117,18 +129,13 @@ def _path_grid(args, kernel):
 
 
 def cmd_verify(args) -> int:
-    """verify-c2 and verify-ht; run_verification rejects an alpha outside the regime."""
+    """verify-c2 and verify-ht; the kernel's alpha picks the regime."""
+    if args.command == "verify-ht" and args.alpha == 2.0:
+        raise DomainError("verify-ht applies to the heavy-tail regime; requires --alpha < 2")
     kernel = make_kernel(args.alpha, args.r0)
-    limit = limit_grid() if args.regime is Regime.HEAVY_TAIL else None
     echo = {"grid_step_factor": args.grid_step_factor, "window_factor": args.window_factor}
     report = run_verification(
-        args.regime,
-        kernel,
-        args.u,
-        VerificationGrids(_path_grid(args, kernel), limit),
-        args.n,
-        args.seed,
-        extra_config={"cli": echo},
+        kernel, args.u, _path_grid(args, kernel), args.n, args.seed, extra_config={"cli": echo}
     )
     _write_report(report, args.out)
     return EXIT_OK if report.passed else EXIT_ACCEPTANCE_FAILED
@@ -143,6 +150,8 @@ def _parse_range(spec: str) -> np.ndarray:
         raise DomainError(f"range needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise DomainError(f"range needs step > 0 and stop >= start, got {spec!r}")
+    if not (stop - start) / step < math.inf:
+        raise DomainError(f"range {spec!r} has too many points to count")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     try:
         return start + step * np.arange(count)
@@ -151,8 +160,6 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def cmd_limit_cdf(args) -> int:
-    if args.alpha != 2.0:
-        raise DomainError("limit-cdf applies to the smooth regime; requires --alpha 2")
     kernel = make_kernel(args.alpha, args.r0)
     params = C2LimitParams(kernel.r0, second_derivative_at_zero(kernel))
     xs = _parse_range(args.range)
@@ -170,10 +177,12 @@ def cmd_sample_paths(args) -> int:
     kernel = make_kernel(args.alpha, args.r0)
     plan = build_sampler(kernel, _path_grid(args, kernel))
     times = plan.grid.times()
-    rows = []
     draw_pair = partial(sample_conditional_exceedance, plan, args.u)
-    for i, path in enumerate(replicates(draw_pair, args.n, args.seed, PATH_LANE)):
-        rows.extend((float(t), float(v), i) for t, v in zip(times, path.values))
+    rows = (  # drawn as they are written: one path pair in memory at a time
+        (float(t), float(v), i)
+        for i, path in enumerate(replicates(draw_pair, args.n, args.seed, PATH_LANE))
+        for t, v in zip(times, path)
+    )
     if args.format == "json":
         _write_json(args.out, [{"t": t, "value": v, "replicate": r} for t, v, r in rows])
     else:
@@ -219,22 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, regime, alpha, u, what in (
-        ("verify-c2", Regime.C2, 2.0, 6.0, "smooth-regime verification run (alpha = 2)"),
-        ("verify-ht", Regime.HEAVY_TAIL, 1.0, 10.0, "heavy-tail verification run (alpha < 2)"),
+    for name, alpha, u, what in (
+        ("verify-c2", None, 6.0, "smooth-regime verification run (alpha = 2)"),
+        ("verify-ht", 1.0, 10.0, "heavy-tail verification run (alpha < 2)"),
     ):
         sp = sub.add_parser(name, help=what)
         _add_common(sp, alpha=alpha, u=u, n=5000)
         sp.add_argument("--out", default="report.json", help="report path (default report.json)")
-        sp.set_defaults(handler=cmd_verify, regime=regime)
+        sp.set_defaults(handler=cmd_verify)
 
-    sp = sub.add_parser("limit-cdf", help="tabulate the smooth-regime limit CDF")
-    sp.add_argument("--alpha", type=float, default=2.0, help="kernel exponent (must be 2)")
+    sp = sub.add_parser("limit-cdf", help="tabulate the smooth-regime limit CDF (alpha = 2)")
     sp.add_argument("--r0", type=float, default=1.0, help="covariance at zero (default 1.0)")
     sp.add_argument("--range", default="0:10:0.01", help="x grid as start:stop:step (default 0:10:0.01)")
     sp.add_argument("--out", default="limit_cdf.csv", help="output path (default limit_cdf.csv)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(handler=cmd_limit_cdf)
+    sp.set_defaults(handler=cmd_limit_cdf, alpha=2.0)
 
     sp = sub.add_parser("sample-paths", help="dump conditioned paths for inspection")
     _add_common(sp, alpha=2.0, u=6.0, n=5)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .sampling import Path
+from .sampling import Grid
 
 __all__ = ["ExcursionResult", "crossing_bounds", "c2_root_predictor"]
 
@@ -22,20 +22,20 @@ class ExcursionResult:
     censored_right: bool
 
 
-def crossing_bounds(path: Path, u: float) -> ExcursionResult:
-    """First down-crossings of level u on each side of the origin.
+def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> ExcursionResult:
+    """First down-crossings of level u on each side of the origin of a path
+    sampled on the grid.
 
     Scans outward from the origin and linearly interpolates inside the first
     cell whose far endpoint sits at or below u (equality counts as a crossing
     at the grid point itself).  Sides with no crossing inside the window are
     censored at the window edge and the length is left undefined.
     """
-    values = path.values
-    o = path.origin_index
+    o = grid.origin_index
     if not values[o] > u:
         raise PreconditionError("path does not exceed the threshold at the origin")
-    t = path.grid.times()
-    step = path.grid.step
+    t = grid.times()
+    step = grid.step
 
     right = np.nonzero(values[o:] <= u)[0]
     if right.size:

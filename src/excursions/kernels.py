@@ -86,7 +86,10 @@ def delta_u(k: Kernel, u: float) -> float:
         raise NotHeavyTailError("delta_u is a heavy-tail scale; alpha must be < 2")
     if not u > 0.0:
         raise DomainError(f"threshold u must be positive, got {u!r}")
-    return (c_alpha(k.alpha) / (k.r0 * u * u)) ** (1.0 / k.alpha)
+    try:
+        return (c_alpha(k.alpha) / (k.r0 * u * u)) ** (1.0 / k.alpha)
+    except (ZeroDivisionError, OverflowError):  # r0 * u**2 underflows to 0, or the scale overflows
+        raise DomainError(f"threshold u = {u!r} is too small for a finite delta_u") from None
 
 
 def pitman_ratio(k: Kernel, t: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .crossings import ExcursionResult, crossing_bounds
 from .errors import DomainError
 from .kernels import c_alpha
-from .sampling import Grid, Path, circulant_draw, circulant_weights
+from .sampling import Grid, circulant_draw, circulant_weights
 from .streams import as_generator, generator
 
 __all__ = [
@@ -83,7 +83,7 @@ def _draw_intervals(
         while t_star == 0.0:  # zero draws break the origin-positivity precondition
             t_star = float(rng.standard_exponential())
         values = limit_process_values(grid, b, t_star, alpha, c, r0)
-        out.append(crossing_bounds(Path(grid, values, int(seed), grid.origin_index), 0.0))
+        out.append(crossing_bounds(grid, values, 0.0))
     return tuple(out)
 
 

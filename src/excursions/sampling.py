@@ -5,9 +5,11 @@ Toeplitz covariance, padded until the spectrum is non-negative and the realized
 covariance passes a Frobenius check.  One complex FFT yields two independent
 exact draws, its real and imaginary parts, so every sampler here returns a pair
 from one seed.  The same engine draws fractional Gaussian noise for the
-heavy-tail limit process.  Conditioning on an origin exceedance replaces the
-origin coordinate by an independent truncated normal and propagates it along
-the regression profile R(t)/R(0), which reproduces the conditional law exactly.
+heavy-tail limit process.  A pair is a (2, grid.n) array, one path per row,
+with t = 0 at grid.origin_index.  Conditioning on an origin exceedance replaces
+the origin coordinate by an independent truncated normal and propagates it
+along the regression profile R(t)/R(0), which reproduces the conditional law
+exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .streams import as_generator, generator
 
 __all__ = [
     "Grid",
-    "Path",
     "SamplerPlan",
     "build_sampler",
     "sample_unconditional",
@@ -55,7 +56,9 @@ class Grid:
     def __post_init__(self):
         if not (0.0 < self.step < math.inf and 0.0 < self.half_width < math.inf):
             raise DomainError("grid step and half_width must be positive and finite")
-        if int(math.floor(self.half_width / self.step + 1e-9)) < 1:
+        if not self.half_width / self.step < math.inf:
+            raise DomainError("grid half_width / step overflows; the grid has too many points")
+        if self.arm < 1:
             raise DomainError("grid needs at least 3 points; require half_width >= step")
 
     @property
@@ -74,14 +77,6 @@ class Grid:
     def times(self) -> np.ndarray:
         m = self.arm
         return np.arange(-m, m + 1) * self.step
-
-
-@dataclass
-class Path:
-    grid: Grid
-    values: np.ndarray
-    seed: int
-    origin_index: int
 
 
 @dataclass
@@ -180,11 +175,10 @@ def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
     return SamplerPlan(kernel, grid, gap, embed_factor, weights, profile)
 
 
-def sample_unconditional(plan: SamplerPlan, seed: int) -> tuple[Path, Path]:
-    """Two independent exact draws of the stationary path on the plan's grid."""
-    rng = generator(seed)
-    pair = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
-    return tuple(Path(plan.grid, values, int(seed), plan.grid.origin_index) for values in pair)
+def sample_unconditional(plan: SamplerPlan, seed: int) -> np.ndarray:
+    """Two independent exact draws of the stationary path on the plan's grid,
+    as a (2, grid.n) array."""
+    return circulant_draw(plan.spectral_weights, plan.grid.n, generator(seed))
 
 
 # Above this standardized threshold the inverse-CDF loses nothing to switch to
@@ -225,9 +219,9 @@ def sample_truncated_normal(variance: float, u: float, seed) -> float:
     return sigma * _truncated_std_normal(u / sigma, rng)
 
 
-def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed: int) -> tuple[Path, Path]:
+def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed: int) -> np.ndarray:
     """Two independent exact draws of the path conditioned on its origin value
-    exceeding u.
+    exceeding u, as a (2, grid.n) array.
 
     Each half writes X + (R(t)/R(0)) * (xi - X_0) with X one unconditional
     draw and xi its own truncated normal, drawn after the normals; the origin
@@ -241,12 +235,10 @@ def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed: int) -> tup
     origin = plan.grid.origin_index
     pair += np.outer(xi - pair[:, origin], plan.profile)
     pair[:, origin] = xi  # exact, guards the strict exceedance against roundoff
-    return tuple(Path(plan.grid, values, int(seed), origin) for values in pair)
+    return pair
 
 
-def path_derivative_at_zero(path: Path) -> float:
-    """Central difference of the path at the origin."""
-    o = path.origin_index
-    if o <= 0 or o >= len(path.values) - 1:
-        raise DomainError("origin sits on the grid boundary; no central difference")
-    return float((path.values[o + 1] - path.values[o - 1]) / (2.0 * path.grid.step))
+def path_derivative_at_zero(grid: Grid, values: np.ndarray) -> float:
+    """Central difference at the origin of a path sampled on the grid."""
+    o = grid.origin_index
+    return float((values[o + 1] - values[o - 1]) / (2.0 * grid.step))

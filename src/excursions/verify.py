@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -26,9 +25,7 @@ from .sampling import Grid, SamplerPlan, build_sampler, sample_conditional_excee
 from .streams import replicates, substream_seed
 
 __all__ = [
-    "Regime",
     "SampleSet",
-    "VerificationGrids",
     "VerificationReport",
     "make_sample_set",
     "ecdf",
@@ -68,11 +65,6 @@ PATH_LANE = 0
 LIMIT_LANE = 1
 
 SCHEMA_VERSION = 6
-
-
-class Regime(Enum):
-    C2 = "C2"
-    HEAVY_TAIL = "HeavyTail"
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +173,7 @@ def _path_results(
 ) -> Iterable[ExcursionResult]:
     """Crossing results of n exactly conditioned paths on the plan's grid."""
     paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, lane)
-    return (crossing_bounds(path, u) for path in paths)
+    return (crossing_bounds(plan.grid, values, u) for values in paths)
 
 
 def simulate_excursion_lengths(
@@ -269,7 +261,7 @@ def covariance_panel(
     cols = [indices[s] for s in panel_times]
     profile = plan.profile[cols]
     paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, PATH_LANE)
-    rows = np.array([u * (path.values[cols] - profile * path.values[origin]) for path in paths])
+    rows = np.array([u * (path[cols] - profile * path[origin]) for path in paths])
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha
@@ -323,12 +315,6 @@ def heavy_tail_grid(
 
 def limit_grid(step: float = LIMIT_GRID_STEP, half_width: float = LIMIT_GRID_HALF_WIDTH) -> Grid:
     return Grid(step=step, half_width=half_width)
-
-
-@dataclass(frozen=True)
-class VerificationGrids:
-    path: Grid
-    limit: Grid | None = None  # heavy-tail runs only
 
 
 @dataclass
@@ -393,6 +379,10 @@ def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int) -> dict
     return {"embed_factor": embed_factor, "fro_error": fro_error, "fft_len": int(weights.size)}
 
 
+def _sample_quantile(s: SampleSet, p: float) -> float:
+    return float(np.quantile(s.values, p))
+
+
 def _versions() -> dict:
     """Package and numpy versions from the installed distributions; a source
     tree that was never installed reports the package's own __version__."""
@@ -408,104 +398,85 @@ def _versions() -> dict:
 
 
 def run_verification(
-    regime,
     kernel: Kernel,
     u: float,
-    grids: VerificationGrids,
+    grid: Grid,
     n: int,
     master_seed: int,
     *,
+    limit: Grid = limit_grid(),
     ks_threshold: float | None = None,
     extra_config: dict | None = None,
 ) -> VerificationReport:
-    """Simulate n conditioned paths, scale the excursion lengths, and compare
-    them to the regime's reference law.
+    """Simulate n conditioned paths on the grid, scale the excursion lengths,
+    and compare them to the reference law of the kernel's regime.
 
-    C2: lengths scaled by u, one-sample KS against the closed limit CDF.
-    HeavyTail: lengths scaled by 1/delta_u, two-sample KS against n draws of
-    the limit interval.  Censor rates above CENSOR_BUDGET abort the run.
+    C2 (alpha = 2): lengths scaled by u, one-sample KS against the closed
+    limit CDF.  HeavyTail (alpha < 2): lengths scaled by 1/delta_u, two-sample
+    KS against n draws of the limit interval on the ``limit`` grid, which a C2
+    run ignores.  Censor rates above CENSOR_BUDGET abort the run.
     """
     t0 = time.perf_counter()
-    regime = Regime(regime)
     if n < MIN_RUN_SIZE:
         raise DomainError(f"verification needs n >= {MIN_RUN_SIZE}, got {n}")
     if not u > 0.0:
         raise DomainError(f"threshold u must be positive, got {u!r}")
-    if regime is Regime.C2 and kernel.alpha != 2.0:
-        raise DomainError("C2 verification requires alpha = 2")
-    if regime is Regime.HEAVY_TAIL:
-        if not kernel.alpha < 2.0:
-            raise DomainError("heavy-tail verification requires alpha < 2")
-        if grids.limit is None:
-            raise DomainError("heavy-tail verification needs a limit grid")
-    threshold = KS_THRESHOLDS[regime.value] if ks_threshold is None else ks_threshold
+    regime = "C2" if kernel.alpha == 2.0 else "HeavyTail"
+    threshold = KS_THRESHOLDS[regime] if ks_threshold is None else ks_threshold
 
     config = {
-        "regime": regime.value,
+        "regime": regime,
         "alpha": kernel.alpha,
         "r0": kernel.r0,
         "u": u,
         "n": n,
         "master_seed": int(master_seed),
-        "path_grid": _grid_echo(grids.path),
+        "path_grid": _grid_echo(grid),
         "censor_budget": CENSOR_BUDGET,
         "versions": _versions(),
     }
     if extra_config:
         config.update(extra_config)
 
-    plan = build_sampler(kernel, grids.path)
+    plan = build_sampler(kernel, grid)
     intervals = _intervals(_path_results(plan, u, n, master_seed, PATH_LANE))
     lengths, n_cens = _drop_censored(intervals[:, 2])
     _check_censor_budget(n_cens, n, "path simulation")
-    censoring = {"path": _censoring(intervals, grids.path)}
+    censoring = {"path": _censoring(intervals, grid)}
     synthesis = {"path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor)}
 
-    if regime is Regime.C2:
+    if regime == "C2":
+        d_u = n_cens_limit = None
         sample = make_sample_set(u * lengths)
         params = C2LimitParams(kernel.r0, second_derivative_at_zero(kernel))
         stat, pvalue = ks_one_sample(sample, lambda x: c2_limit_cdf(params, x))
         reference = make_sample_set(
             c2_limit_sample(params, substream_seed(master_seed, LIMIT_LANE, 0), size=sample.values.size)
         )
-        w1 = wasserstein1(sample, reference)
-        quantiles = [
-            {
-                "p": p,
-                "empirical": float(np.quantile(sample.values, p)),
-                "reference": c2_limit_quantile(params, p),
-            }
-            for p in QUANTILE_PROBS
-        ]
-        d_u = None
-        n_cens_limit = None
+        reference_quantile = partial(c2_limit_quantile, params)
     else:
         d_u = delta_u(kernel, u)
-        draw_pair = partial(sample_limit_length, kernel.alpha, kernel.r0, grids.limit)
+        draw_pair = partial(sample_limit_length, kernel.alpha, kernel.r0, limit)
         limit_intervals = _intervals(replicates(draw_pair, n, master_seed, LIMIT_LANE))
         limit_lengths, n_cens_limit = _drop_censored(limit_intervals[:, 2])
         _check_censor_budget(n_cens_limit, n, "limit-process draws")
-        censoring["limit"] = _censoring(limit_intervals, grids.limit)
-        synthesis["limit"] = _synthesis(*_fgn_weights(kernel.alpha, grids.limit))
+        censoring["limit"] = _censoring(limit_intervals, limit)
+        synthesis["limit"] = _synthesis(*_fgn_weights(kernel.alpha, limit))
+        config["limit_grid"] = _grid_echo(limit)
         sample = make_sample_set(lengths / d_u)
         reference = make_sample_set(limit_lengths)
         stat, pvalue = ks_two_sample(sample, reference)
-        w1 = wasserstein1(sample, reference)
-        quantiles = [
-            {
-                "p": p,
-                "empirical": float(np.quantile(sample.values, p)),
-                "reference": float(np.quantile(reference.values, p)),
-            }
-            for p in QUANTILE_PROBS
-        ]
-        config["limit_grid"] = _grid_echo(grids.limit)
+        reference_quantile = partial(_sample_quantile, reference)
+    quantiles = [
+        {"p": p, "empirical": _sample_quantile(sample, p), "reference": reference_quantile(p)}
+        for p in QUANTILE_PROBS
+    ]
 
     return VerificationReport(
-        regime=regime.value,
+        regime=regime,
         ks_stat=float(stat),
         ks_pvalue=float(pvalue),
-        wasserstein1=float(w1),
+        wasserstein1=wasserstein1(sample, reference),
         quantiles=quantiles,
         n=n,
         n_censored=int(n_cens),

@@ -14,8 +14,6 @@ from scipy import stats
 from excursions import (
     C2LimitParams,
     Grid,
-    Regime,
-    VerificationGrids,
     build_sampler,
     c2_grid,
     c2_limit_cdf,
@@ -96,7 +94,7 @@ def test_03_synthesis_covariance():
     assert plan.fro_error <= 1e-8, f"factor error {plan.fro_error:.2e} > 1e-8"
     n = 2000
     draw_pair = functools.partial(sample_unconditional, plan)
-    vals = np.vstack([p.values for p in replicates(draw_pair, n, 98765, 0)])
+    vals = np.vstack(list(replicates(draw_pair, n, 98765, 0)))
     o = g.origin_index
     worst = 0.0
     for lag, offset in ((0.0, 0), (0.1, 1), (0.5, 5), (1.0, 10)):
@@ -110,10 +108,7 @@ def test_03_synthesis_covariance():
 
 @_criterion("4 smooth-regime limit law")
 def test_04_smooth_regime_limit_law():
-    report = run_verification(
-        Regime.C2, make_kernel(2.0), 6.0,
-        VerificationGrids(path=c2_grid(6.0)), 5000, 1729,
-    )
+    report = run_verification(make_kernel(2.0), 6.0, c2_grid(6.0), 5000, 1729)
     rate = report.n_censored / report.n
     assert report.ks_stat <= 0.05, f"KS {report.ks_stat:.4f} > 0.05"
     assert rate <= 0.005, f"censor rate {rate:.3%} > 0.5%"
@@ -128,9 +123,8 @@ def test_05_heavy_tail_limit_law():
     details = []
     for alpha, tol in ((1.0, 0.08), (0.75, 0.10)):
         k = make_kernel(alpha)
-        grids = VerificationGrids(path=heavy_tail_grid(k, 10.0), limit=limit_grid())
         report = run_verification(
-            Regime.HEAVY_TAIL, k, 10.0, grids, 5000, 1729, ks_threshold=tol
+            k, 10.0, heavy_tail_grid(k, 10.0), 5000, 1729, limit=limit_grid(), ks_threshold=tol
         )
         assert report.ks_stat <= tol, f"alpha={alpha}: KS {report.ks_stat:.4f} > {tol}"
         assert report.n_censored / report.n <= 0.005
@@ -210,11 +204,11 @@ def test_09_root_predictor():
     r2 = second_derivative_at_zero(k)
     gaps = []
     for p in replicates(functools.partial(sample_conditional_exceedance, plan, u), n, 424242, 0):
-        res = crossing_bounds(p, u)
+        res = crossing_bounds(plan.grid, p, u)
         if res.censored_right:
             continue
-        x0 = float(p.values[p.origin_index])
-        pred = c2_root_predictor(x0, path_derivative_at_zero(p), r2 * x0 / k.r0, u)
+        x0 = float(p[plan.grid.origin_index])
+        pred = c2_root_predictor(x0, path_derivative_at_zero(plan.grid, p), r2 * x0 / k.r0, u)
         gaps.append((pred - res.tau_plus) / res.tau_plus)
     gaps = np.asarray(gaps)
     assert gaps.size >= 1000

@@ -88,16 +88,22 @@ def test_limit_cdf_json_output(tmp_path):
 
 
 def test_limit_cdf_rejects_rough_kernel(tmp_path):
+    # the smooth-regime table has one alpha, so there is no --alpha flag
     out = tmp_path / "cdf.csv"
-    assert main(["limit-cdf", "--alpha", "1", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    with pytest.raises(SystemExit) as exc:
+        main(["limit-cdf", "--alpha", "1", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG_ERROR
     assert not out.exists()
 
 
 def test_regime_commands_validate_alpha(tmp_path):
-    out = str(tmp_path / "r.json")
-    assert main(["verify-c2", "--alpha", "1", "--out", out]) == EXIT_CONFIG_ERROR
-    assert main(["verify-ht", "--alpha", "2", "--out", out]) == EXIT_CONFIG_ERROR
-    assert main(["verify-c2", "--n", "50", "--out", out]) == EXIT_CONFIG_ERROR
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:  # verify-c2 has no --alpha flag
+        main(["verify-c2", "--alpha", "1", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert main(["verify-ht", "--alpha", "2", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert main(["verify-c2", "--n", "50", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
 
 
 def test_sample_paths_csv_shape_and_determinism(tmp_path):
@@ -164,6 +170,20 @@ def test_grid_too_large_to_embed_exits_config_error(tmp_path, capsys, argv):
     assert "40000001" in err and "2**23" in err
     assert peak < 16 * 2**20  # the grid's times alone would take 320 MB
     assert not out.exists()
+
+
+def _sample_paths_peak(tmp_path, n):
+    tracemalloc.start()
+    try:
+        assert main(["sample-paths", "--n", str(n), "--out", str(tmp_path / f"p{n}.csv")]) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_paths_memory_does_not_grow_with_n(tmp_path):
+    # rows are written as each path pair is drawn, never collected
+    assert _sample_paths_peak(tmp_path, 40) - _sample_paths_peak(tmp_path, 4) <= 2 * 2**20
 
 
 def test_verify_c2_reports_are_reproducible_minus_runtime(tmp_path):
@@ -236,6 +256,13 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         ["verify-c2", "--r0", "inf"],
         ["verify-c2", "--n", "100", "--seed", "-1"],
         ["sample-paths", "--n", "1", "--seed", "-5"],
+        # point counts that overflow a float, and u * u underflowing to 0 in delta_u
+        ["limit-cdf", "--range", "0:1e300:1e-300"],
+        ["verify-c2", "--grid-step-factor", "1e-300", "--window-factor", "1e300"],
+        ["sample-paths", "--grid-step-factor", "1e-300", "--window-factor", "1e300"],
+        ["verify-ht", "--u", "1e-200"],
+        ["sample-paths", "--alpha", "1", "--u", "1e-200"],
+        ["diagnostics", "--u", "1e-200"],
     ],
     ids=[
         "verify-u0",
@@ -248,6 +275,12 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         "verify-r0-inf",
         "verify-seed-negative",
         "paths-seed-negative",
+        "cdf-range-overflow",
+        "verify-grid-overflow",
+        "paths-grid-overflow",
+        "verify-ht-u-underflow",
+        "paths-u-underflow",
+        "diagnostics-u-underflow",
     ],
 )
 def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
@@ -273,8 +306,8 @@ def test_unexpected_exception_exits_internal_error_with_traceback(tmp_path, monk
 _PUBLIC_NAMES = frozenset(
     {
         "C2LimitParams", "CensorBudgetExceeded", "DomainError", "EmptySampleError",
-        "Grid", "NotC2Error", "NotHeavyTailError", "Path", "PreconditionError",
-        "Regime", "SynthesisError", "VerificationGrids", "build_sampler", "c2_grid",
+        "Grid", "NotC2Error", "NotHeavyTailError", "PreconditionError",
+        "SynthesisError", "build_sampler", "c2_grid",
         "c2_limit_cdf", "c2_limit_quantile", "c2_limit_sample", "c2_root_predictor",
         "c_alpha", "covariance_panel", "crossing_bounds", "delta_u",
         "draw_limit_lengths", "ecdf", "fbm_two_sided", "heavy_tail_grid",
@@ -295,7 +328,7 @@ def test_public_surface_is_frozen():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == _PUBLIC_NAMES
-    assert len(_PUBLIC_NAMES) <= 45
+    assert len(_PUBLIC_NAMES) <= 42
 
 
 def _perfbench_layers():

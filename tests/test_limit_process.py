@@ -9,7 +9,6 @@ import pytest
 from excursions import (
     DomainError,
     Grid,
-    Path,
     c_alpha,
     crossing_bounds,
     fbm_two_sided,
@@ -33,7 +32,7 @@ def _fbm_cov(times, alpha):
 
 def _hitting(grid, values):
     """Zero-hitting interval of limit-path values around the origin."""
-    return crossing_bounds(Path(grid=grid, values=values, seed=0, origin_index=grid.origin_index), 0.0)
+    return crossing_bounds(grid, values, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])

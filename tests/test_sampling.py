@@ -13,7 +13,6 @@ from scipy import special, stats
 from excursions import (
     DomainError,
     Grid,
-    Path,
     SynthesisError,
     build_sampler,
     c2_grid,
@@ -156,14 +155,12 @@ def test_sample_unconditional_is_deterministic():
     pair = sample_unconditional(plan, 12345)
     again = sample_unconditional(plan, 12345)
     other = sample_unconditional(plan, 12346)
-    assert len(pair) == 2
-    assert not np.array_equal(pair[0].values, pair[1].values)
+    assert pair.shape == (2, plan.grid.n)
+    assert not np.array_equal(pair[0], pair[1])
     for a, b, c in zip(pair, again, other):
-        np.testing.assert_array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
-        assert a.values.shape == (plan.grid.n,)
-        assert np.isfinite(a.values).all()
-        assert a.seed == 12345
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.isfinite(a).all()
 
 
 def test_empirical_covariance_matches_kernel():
@@ -174,8 +171,8 @@ def test_empirical_covariance_matches_kernel():
     plan = build_sampler(k, g)
     n = 3000
     pairs = [sample_unconditional(plan, substream_seed(97, 0, i)) for i in range(n)]
-    first = np.vstack([a.values for a, _ in pairs])
-    second = np.vstack([b.values for _, b in pairs])
+    first = np.vstack([a for a, _ in pairs])
+    second = np.vstack([b for _, b in pairs])
     o = g.origin_index
     for offset in (0, 2, 4):
         target = math.exp(-0.25 * offset)
@@ -253,7 +250,7 @@ def test_conditional_exceedance_pins_origin_above_threshold():
     u = 5.0
     n = 4000
     paths = replicates(partial(sample_conditional_exceedance, plan, u), n, 8, 0)
-    excess = np.array([p.values[p.origin_index] - u for p in paths])
+    excess = np.array([p[plan.grid.origin_index] - u for p in paths])
     assert (excess > 0.0).all()
     # exact conditioning: mean overshoot equals the Mills-ratio value
     target = 0.18650396712585415  # E[X - 5 | X > 5], X standard normal
@@ -265,9 +262,9 @@ def test_conditional_exceedance_is_deterministic():
     plan = build_sampler(make_kernel(1.0), Grid(0.1, 2.0))
     pair = sample_conditional_exceedance(plan, 3.0, 42)
     again = sample_conditional_exceedance(plan, 3.0, 42)
-    for a, b in zip(pair, again, strict=True):
-        np.testing.assert_array_equal(a.values, b.values)
-    assert not np.array_equal(pair[0].values, pair[1].values)
+    np.testing.assert_array_equal(pair, again)
+    assert pair.shape == (2, plan.grid.n)
+    assert not np.array_equal(pair[0], pair[1])
 
 
 def test_vacuous_conditioning_recovers_unconditional_law():
@@ -275,8 +272,7 @@ def test_vacuous_conditioning_recovers_unconditional_law():
     g = Grid(0.25, 1.0)
     plan = build_sampler(k, g)
     n = 2500
-    paths = replicates(partial(sample_conditional_exceedance, plan, -1e9), n, 13, 0)
-    vals = np.vstack([p.values for p in paths])
+    vals = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, -1e9), n, 13, 0)))
     o = g.origin_index
     for offset, lag in ((0, 0.0), (2, 0.5), (4, 1.0)):
         prods = vals[:, o] * vals[:, o + offset]
@@ -291,8 +287,7 @@ def test_conditional_residual_covariance_is_exact():
     g = Grid(0.25, 1.0)
     plan = build_sampler(k, g)
     n = 3000
-    paths = replicates(partial(sample_conditional_exceedance, plan, 6.0), n, 14, 0)
-    vals = np.vstack([p.values for p in paths])
+    vals = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, 6.0), n, 14, 0)))
     o = g.origin_index
     profile = k.value(g.times())
     resid = vals - np.outer(vals[:, o], profile)
@@ -321,7 +316,7 @@ def test_conditional_marginal_matches_limit_components():
     col = g.origin_index + 5
     n = 4000
     paths = replicates(partial(sample_conditional_exceedance, plan, u), n, 15, 0)
-    draws = np.array([p.values[col] for p in paths])
+    draws = np.array([p[col] for p in paths])
     y = u * (draws - u)
     c = c_alpha(1.0)
     se_mean = y.std(ddof=1) / math.sqrt(n)
@@ -333,12 +328,9 @@ def test_conditional_marginal_matches_limit_components():
 
 def test_path_derivative_central_difference():
     g = Grid(0.5, 0.5)
-    p = Path(grid=g, values=np.array([0.0, 1.0, 4.0]), seed=0, origin_index=1)
-    assert path_derivative_at_zero(p) == pytest.approx(4.0, abs=1e-12)
-    flat = Path(grid=g, values=np.full(3, 2.5), seed=0, origin_index=1)
-    assert path_derivative_at_zero(flat) == 0.0
-    ramp = Path(grid=g, values=3.0 * g.times(), seed=0, origin_index=1)
-    assert path_derivative_at_zero(ramp) == pytest.approx(3.0, abs=1e-12)
+    assert path_derivative_at_zero(g, np.array([0.0, 1.0, 4.0])) == pytest.approx(4.0, abs=1e-12)
+    assert path_derivative_at_zero(g, np.full(3, 2.5)) == 0.0
+    assert path_derivative_at_zero(g, 3.0 * g.times()) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_path_derivative_variance_matches_curvature():
@@ -347,14 +339,8 @@ def test_path_derivative_variance_matches_curvature():
     plan = build_sampler(make_kernel(2.0), Grid(0.001, 0.002))
     n = 5000
     paths = replicates(partial(sample_unconditional, plan), n, 16, 0)
-    slopes = np.array([path_derivative_at_zero(p) for p in paths])
+    slopes = np.array([path_derivative_at_zero(plan.grid, p) for p in paths])
     var = slopes.var(ddof=1)
     se = var * math.sqrt(2.0 / (n - 1))
     assert abs(var - 2.0) <= 3.0 * se
 
-
-def test_path_derivative_needs_interior_origin():
-    g = Grid(0.5, 0.5)
-    p = Path(grid=g, values=np.zeros(3), seed=0, origin_index=0)
-    with pytest.raises(DomainError):
-        path_derivative_at_zero(p)

@@ -13,8 +13,6 @@ from excursions import (
     DomainError,
     EmptySampleError,
     Grid,
-    Regime,
-    VerificationGrids,
     c2_grid,
     c_alpha,
     covariance_panel,
@@ -266,27 +264,18 @@ def test_covariance_panel_rejects_offgrid_times():
 
 
 def test_run_verification_input_validation():
-    k2, k1 = make_kernel(2.0), make_kernel(1.0)
-    grids = VerificationGrids(path=c2_grid(6.0))
+    # the regime is read from alpha, so only n and u can be out of range
+    k2 = make_kernel(2.0)
     with pytest.raises(DomainError):
-        run_verification(Regime.C2, k2, 6.0, grids, 50, 1)  # n below the floor
-    with pytest.raises(DomainError):
-        run_verification(Regime.C2, k2, 0.0, grids, 200, 1)
-    with pytest.raises(DomainError):
-        run_verification(Regime.C2, k1, 6.0, grids, 200, 1)  # not a smooth kernel
-    with pytest.raises(DomainError):
-        run_verification(Regime.HEAVY_TAIL, k2, 6.0, grids, 200, 1)
-    with pytest.raises(DomainError):
-        # heavy tail needs a limit grid
-        run_verification(Regime.HEAVY_TAIL, k1, 10.0, grids, 200, 1)
+        run_verification(k2, 6.0, c2_grid(6.0), 50, 1)  # n below the floor
+    for u in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            run_verification(k2, u, c2_grid(6.0), 200, 1)
 
 
 def test_run_verification_c2_report_contract():
     k = make_kernel(2.0)
-    report = run_verification(
-        Regime.C2, k, 6.0, VerificationGrids(path=c2_grid(6.0)), 150, 2023,
-        extra_config={"note": "unit"},
-    )
+    report = run_verification(k, 6.0, c2_grid(6.0), 150, 2023, extra_config={"note": "unit"})
     assert report.regime == "C2"
     assert report.n == 150
     assert report.passed == (report.ks_stat <= report.ks_threshold)
@@ -303,8 +292,7 @@ def test_run_verification_c2_report_contract():
 
 def test_run_verification_heavy_tail_report_contract():
     k = make_kernel(1.0)
-    grids = VerificationGrids(path=heavy_tail_grid(k, 10.0), limit=limit_grid(0.02, 6.0))
-    report = run_verification(Regime.HEAVY_TAIL, k, 10.0, grids, 120, 2024)
+    report = run_verification(k, 10.0, heavy_tail_grid(k, 10.0), 120, 2024, limit=limit_grid(0.02, 6.0))
     assert report.regime == "HeavyTail"
     assert report.delta_u == pytest.approx(math.pi / 100.0, abs=1e-14)
     assert report.n_censored_limit is not None
@@ -315,9 +303,8 @@ def test_run_verification_heavy_tail_report_contract():
 def test_run_verification_enforces_censor_budget():
     # a window far smaller than the typical excursion censors nearly everything
     k = make_kernel(2.0)
-    grids = VerificationGrids(path=c2_grid(6.0, window_factor=0.5))
     with pytest.raises(CensorBudgetExceeded):
-        run_verification(Regime.C2, k, 6.0, grids, 150, 7)
+        run_verification(k, 6.0, c2_grid(6.0, window_factor=0.5), 150, 7)
 
 
 _REACH_KEYS = ("reach_p50", "reach_p99", "reach_p999", "reach_max")
@@ -328,8 +315,8 @@ def test_censoring_block_counts_each_side(monkeypatch):
     # side only, so the per-side counts add up to the censored totals
     monkeypatch.setattr(verify, "CENSOR_BUDGET", 1.0)
     k = make_kernel(1.0)
-    grids = VerificationGrids(heavy_tail_grid(k, 10.0, 0.02, 2.5), limit_grid(0.02, 2.5))
-    report = run_verification(Regime.HEAVY_TAIL, k, 10.0, grids, 200, 13)
+    grid = heavy_tail_grid(k, 10.0, 0.02, 2.5)
+    report = run_verification(k, 10.0, grid, 200, 13, limit=limit_grid(0.02, 2.5))
     path, limit = report.censoring["path"], report.censoring["limit"]
     assert min(path["censored_left"], path["censored_right"]) > 0
     assert min(limit["censored_left"], limit["censored_right"]) > 0
@@ -342,12 +329,9 @@ def test_censoring_block_counts_each_side(monkeypatch):
 @pytest.mark.parametrize("alpha, u", [(2.0, 6.0), (1.0, 10.0)])
 def test_report_blocks_on_an_uncensored_run(alpha, u):
     k = make_kernel(alpha)
-    if alpha == 2.0:
-        regime, grids, lanes = Regime.C2, VerificationGrids(path=c2_grid(u)), ["path"]
-    else:
-        regime, lanes = Regime.HEAVY_TAIL, ["limit", "path"]
-        grids = VerificationGrids(path=heavy_tail_grid(k, u), limit=limit_grid(0.02, 6.0))
-    report = run_verification(regime, k, u, grids, 200, 2024)
+    grid = c2_grid(u) if alpha == 2.0 else heavy_tail_grid(k, u)
+    report = run_verification(k, u, grid, 200, 2024, limit=limit_grid(0.02, 6.0))
+    lanes = ["path"] if alpha == 2.0 else ["limit", "path"]  # a smooth run ignores the limit grid
     assert report.n_censored == (report.n_censored_limit or 0) == 0
     assert sorted(report.censoring) == sorted(report.synthesis) == lanes
     for lane in lanes:
@@ -359,7 +343,7 @@ def test_report_blocks_on_an_uncensored_run(alpha, u):
         assert embedding["embed_factor"] >= 1
         assert 0.0 <= embedding["fro_error"] <= FACTOR_TOL
         assert embedding["fft_len"] == 2 * _next_smooth(embedding["fft_len"] // 2)
-    assert report.synthesis["path"]["fft_len"] == 2 * (grids.path.n - 1)
+    assert report.synthesis["path"]["fft_len"] == 2 * (grid.n - 1)
     assert set(report.config["versions"]) == {"excursions", "numpy"}
     assert report.config["versions"]["numpy"] == np.__version__
     payload = json.loads(json.dumps(report.to_dict()))
