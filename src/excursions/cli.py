@@ -6,7 +6,8 @@ one smooth exponent alpha = 2 and take no --alpha flag; verify-ht and
 diagnostics need --alpha < 2; sample-paths takes either.
 
 Every command runs on one thread; replicate i of a run is half i % 2 of the
-path pair drawn from substream i // 2 of its seed (see verify).
+path pair drawn from substream i // 2 of its seed, drawn in blocks of
+consecutive substreams (see verify).
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
 including a non-finite number), 3 censor budget exceeded, 4 covariance
@@ -22,6 +23,7 @@ import math
 import sys
 import traceback
 from functools import partial
+from itertools import chain
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .kernels import make_kernel, pitman_ratio, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf
-from .sampling import build_sampler, sample_conditional_exceedance
+from .sampling import block_size, build_sampler, sample_conditional_exceedance
 from .streams import replicates
 from .verify import (
     DEFAULT_STEP_FACTOR,
@@ -177,10 +179,11 @@ def cmd_sample_paths(args) -> int:
     kernel = make_kernel(args.alpha, args.r0)
     plan = build_sampler(kernel, _path_grid(args, kernel))
     times = plan.grid.times()
-    draw_pair = partial(sample_conditional_exceedance, plan, args.u)
-    rows = (  # drawn as they are written: one path pair in memory at a time
+    draw = partial(sample_conditional_exceedance, plan, args.u)
+    blocks = replicates(draw, args.n, args.seed, PATH_LANE, block_size(plan.spectral_weights))
+    rows = (  # drawn as they are written: one block of paths in memory at a time
         (float(t), float(v), i)
-        for i, path in enumerate(replicates(draw_pair, args.n, args.seed, PATH_LANE))
+        for i, path in enumerate(chain.from_iterable(blocks))
         for t, v in zip(times, path)
     )
     if args.format == "json":

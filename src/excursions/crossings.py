@@ -3,63 +3,45 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .sampling import Grid
 
-__all__ = ["ExcursionResult", "crossing_bounds", "c2_root_predictor"]
+__all__ = ["crossing_bounds", "c2_root_predictor"]
 
 
-@dataclass(frozen=True)
-class ExcursionResult:
-    tau_minus: float
-    tau_plus: float
-    length: float  # nan when either side is censored
-    censored_left: bool
-    censored_right: bool
+def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> np.ndarray:
+    """First down-crossings of level u on each side of the origin, for each
+    path (last axis) of values sampled on the grid, as (tau_minus, tau_plus,
+    length) rows: shape values.shape[:-1] + (3,).
 
-
-def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> ExcursionResult:
-    """First down-crossings of level u on each side of the origin of a path
-    sampled on the grid.
-
-    Scans outward from the origin and linearly interpolates inside the first
-    cell whose far endpoint sits at or below u (equality counts as a crossing
-    at the grid point itself).  Sides with no crossing inside the window are
-    censored at the window edge and the length is left undefined.
+    Interpolates linearly inside each side's first cell, counted outward from
+    the origin, whose far endpoint sits at or below u (equality counts as a
+    crossing at the grid point itself).  A side with no crossing inside the
+    window is censored: its end is parked on the window's last grid point and
+    the length is nan.
     """
+    paths = np.asarray(values, dtype=float).reshape(-1, grid.n)
     o = grid.origin_index
-    if not values[o] > u:
+    if not np.all(paths[:, o] > u):
         raise PreconditionError("path does not exceed the threshold at the origin")
     t = grid.times()
     step = grid.step
+    rows = np.arange(paths.shape[0])
+    below = paths <= u
 
-    right = np.nonzero(values[o:] <= u)[0]
-    if right.size:
-        j = o + int(right[0])  # first grid point at/below u on the right
-        frac = (values[j - 1] - u) / (values[j - 1] - values[j])
-        tau_plus = float(t[j - 1] + frac * step)
-        censored_right = False
-    else:
-        tau_plus = float(t[-1])
-        censored_right = True
-
-    left = np.nonzero(values[: o + 1] <= u)[0]
-    if left.size:
-        i = int(left[-1])  # last grid point at/below u on the left
-        frac = (values[i + 1] - u) / (values[i + 1] - values[i])
-        tau_minus = float(t[i + 1] - frac * step)
-        censored_left = False
-    else:
-        tau_minus = float(t[0])
-        censored_left = True
-
-    censored = censored_left or censored_right
-    length = math.nan if censored else tau_plus - tau_minus
-    return ExcursionResult(tau_minus, tau_plus, length, censored_left, censored_right)
+    j = o + np.argmax(below[:, o:], axis=1)  # first grid point at/below u on the right
+    i = o - np.argmax(below[:, o::-1], axis=1)  # last grid point at/below u on the left
+    crossed_right, crossed_left = below[rows, j], below[rows, i]
+    with np.errstate(all="ignore"):  # censored sides interpolate junk, which np.where drops
+        frac = (paths[rows, j - 1] - u) / (paths[rows, j - 1] - paths[rows, j])
+        tau_plus = np.where(crossed_right, t[j - 1] + frac * step, t[-1])
+        frac = (paths[rows, i + 1] - u) / (paths[rows, i + 1] - paths[rows, i])
+        tau_minus = np.where(crossed_left, t[i + 1] - frac * step, t[0])
+    length = np.where(crossed_left & crossed_right, tau_plus - tau_minus, math.nan)
+    return np.stack((tau_minus, tau_plus, length), axis=-1).reshape(np.shape(values)[:-1] + (3,))
 
 
 def c2_root_predictor(x0: float, xprime0: float, xsecond: float, u: float) -> float:

@@ -87,9 +87,12 @@ def delta_u(k: Kernel, u: float) -> float:
     if not u > 0.0:
         raise DomainError(f"threshold u must be positive, got {u!r}")
     try:
-        return (c_alpha(k.alpha) / (k.r0 * u * u)) ** (1.0 / k.alpha)
+        scale = (c_alpha(k.alpha) / (k.r0 * u * u)) ** (1.0 / k.alpha)
     except (ZeroDivisionError, OverflowError):  # r0 * u**2 underflows to 0, or the scale overflows
         raise DomainError(f"threshold u = {u!r} is too small for a finite delta_u") from None
+    if not scale > 0.0:  # r0 * u**2 overflows, or the scale underflows
+        raise DomainError(f"threshold u = {u!r} is too large for a positive delta_u")
+    return scale
 
 
 def pitman_ratio(k: Kernel, t: float) -> float:

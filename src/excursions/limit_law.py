@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .streams import as_generator
+from .streams import generators
 
 __all__ = ["C2LimitParams", "c2_limit_cdf", "c2_limit_sample", "c2_limit_quantile"]
 
@@ -51,7 +51,7 @@ def c2_limit_cdf(params: C2LimitParams, x: float) -> float:
 
 def c2_limit_sample(params: C2LimitParams, seed, size: int | None = None):
     """Direct draws of s * sqrt(Z**2 + 2T); scalar by default, vectorized via size."""
-    rng = as_generator(seed)
+    [rng] = generators(seed)
     z = rng.standard_normal(size)
     t = rng.standard_exponential(size)
     out = params.scale * np.sqrt(z * z + 2.0 * t)

@@ -13,11 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .crossings import ExcursionResult, crossing_bounds
+from .crossings import crossing_bounds
 from .errors import DomainError
 from .kernels import c_alpha
 from .sampling import Grid, circulant_draw, circulant_weights
-from .streams import as_generator, generator
+from .streams import generators
 
 __all__ = [
     "fbm_two_sided",
@@ -33,6 +33,8 @@ def _fgn_weights(alpha: float, grid: Grid) -> tuple[np.ndarray, float, int]:
     fractional Gaussian noise formed by the grid.n - 1 increments of an fBm
     with Var B(t) = |t|**alpha; cached because every replicate on the same
     grid reuses them, and reports read the embedding's quality back."""
+    if not 0.0 < alpha < 2.0:
+        raise DomainError(f"fBm needs alpha in (0, 2), got {alpha!r}")
     h = grid.step**alpha
 
     def autocov(k: np.ndarray) -> np.ndarray:
@@ -45,58 +47,59 @@ def _fgn_weights(alpha: float, grid: Grid) -> tuple[np.ndarray, float, int]:
 
 
 def fbm_two_sided(alpha: float, grid: Grid, seed) -> np.ndarray:
-    """Two independent exact two-sided fBm draws with Hurst index alpha/2, as a
-    (2, grid.n) array with B(0) = 0 exactly.  Davies-Harte: cumulative sums of
-    exact fGn, shifted to pin the origin; exact for the two-sided fBm because
-    its increments are stationary.  ``seed`` may be an integer or a Generator."""
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"fBm needs alpha in (0, 2), got {alpha!r}")
-    increments = circulant_draw(_fgn_weights(alpha, grid)[0], grid.n - 1, as_generator(seed))
-    values = np.concatenate((np.zeros((2, 1)), np.cumsum(increments, axis=1)), axis=1)
-    return values - values[:, grid.origin_index, None]
+    """Two independent exact two-sided fBm draws with Hurst index alpha/2 per
+    substream of ``seed`` (see streams.generators), as rows of a
+    (2 * substreams, grid.n) array with B(0) = 0 exactly.  Davies-Harte:
+    cumulative sums of exact fGn, shifted to pin the origin; exact for the
+    two-sided fBm because its increments are stationary."""
+    increments = circulant_draw(_fgn_weights(alpha, grid)[0], grid.n - 1, generators(seed))
+    values = np.zeros((len(increments), grid.n))
+    np.cumsum(increments, axis=1, out=values[:, 1:])
+    values -= values[:, [grid.origin_index]]  # a copy of the origin column, then in place
+    return values
 
 
 def limit_process_values(
-    grid: Grid, b: np.ndarray, t_star: float, alpha: float, c: float, r0: float
+    grid: Grid, b: np.ndarray, t_star, alpha: float, c: float, r0: float
 ) -> np.ndarray:
-    """Drifted limit path sqrt(2c) B(t) + r0 * t_star - (c/r0) |t|**alpha on the
-    grid, for one fBm draw b; c = c_alpha(alpha) gives the limit process, and
-    c = r0 = 1 its drift-normalized (tilde) variant."""
+    """Drifted limit paths sqrt(2c) B(t) + r0 * t_star - (c/r0) |t|**alpha on the
+    grid, for fBm draws b (last axis on the grid) and one level t_star per
+    draw; c = c_alpha(alpha) gives the limit process, and c = r0 = 1 its
+    drift-normalized (tilde) variant."""
     if not r0 > 0.0:
         raise DomainError(f"r0 must be positive, got {r0!r}")
-    if not t_star > 0.0:
+    t_star = np.asarray(t_star, dtype=float)
+    if not np.all(t_star > 0.0):
         raise DomainError(f"t_star must be positive, got {t_star!r}")
     t = grid.times()
-    return math.sqrt(2.0 * c) * b + r0 * t_star - (c / r0) * np.abs(t) ** alpha
+    return math.sqrt(2.0 * c) * b + (r0 * t_star)[..., None] - (c / r0) * np.abs(t) ** alpha
 
 
-def _draw_intervals(
-    alpha: float, c: float, r0: float, grid: Grid, seed: int
-) -> tuple[ExcursionResult, ExcursionResult]:
-    """Two independent zero-hitting intervals around the origin: one fBm pair
-    from seed, then a unit exponential level t_star > 0 for each half.  A side
+def _draw_intervals(alpha: float, c: float, r0: float, grid: Grid, seed) -> np.ndarray:
+    """Two independent zero-hitting intervals around the origin per substream
+    of ``seed``, as crossing_bounds rows: one fBm pair from each substream's
+    generator, then a unit exponential level t_star > 0 for each half.  A side
     with no crossing inside the window is censored, never redrawn."""
-    rng = generator(seed)
-    out = []
-    for b in fbm_two_sided(alpha, grid, rng):
-        t_star = float(rng.standard_exponential())
-        while t_star == 0.0:  # zero draws break the origin-positivity precondition
-            t_star = float(rng.standard_exponential())
-        values = limit_process_values(grid, b, t_star, alpha, c, r0)
-        out.append(crossing_bounds(grid, values, 0.0))
-    return tuple(out)
+    rngs = generators(seed)
+    b = fbm_two_sided(alpha, grid, rngs)
+    t_star = np.empty(len(b))
+    for k, rng in enumerate(rngs):
+        for half in (2 * k, 2 * k + 1):
+            t_star[half] = rng.standard_exponential()
+            while t_star[half] == 0.0:  # zero draws break the origin-positivity precondition
+                t_star[half] = rng.standard_exponential()
+    return crossing_bounds(grid, limit_process_values(grid, b, t_star, alpha, c, r0), 0.0)
 
 
-def sample_limit_length(
-    alpha: float, r0: float, grid: Grid, seed: int
-) -> tuple[ExcursionResult, ExcursionResult]:
+def sample_limit_length(alpha: float, r0: float, grid: Grid, seed) -> np.ndarray:
     """Two independent draws of the limit excursion interval on the given
-    window; an interval that does not fit the window is reported censored."""
+    window per substream of ``seed``, as crossing_bounds rows; an interval
+    that does not fit the window is reported censored."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"limit process needs alpha in (0, 2), got {alpha!r}")
     return _draw_intervals(alpha, c_alpha(alpha), r0, grid, seed)
 
 
-def sample_tilde_length(alpha: float, grid: Grid, seed: int) -> tuple[ExcursionResult, ExcursionResult]:
-    """Same pair of draws for the drift-normalized variant."""
+def sample_tilde_length(alpha: float, grid: Grid, seed) -> np.ndarray:
+    """Same draws for the drift-normalized variant."""
     return _draw_intervals(alpha, 1.0, 1.0, grid, seed)

@@ -3,18 +3,22 @@
 Sampling is exact (no AR/Markov approximation): circulant embedding of the
 Toeplitz covariance, padded until the spectrum is non-negative and the realized
 covariance passes a Frobenius check.  One complex FFT yields two independent
-exact draws, its real and imaginary parts, so every sampler here returns a pair
-from one seed.  The same engine draws fractional Gaussian noise for the
-heavy-tail limit process.  A pair is a (2, grid.n) array, one path per row,
-with t = 0 at grid.origin_index.  Conditioning on an origin exceedance replaces
-the origin coordinate by an independent truncated normal and propagates it
-along the regression profile R(t)/R(0), which reproduces the conditional law
-exactly.
+exact draws, its real and imaginary parts, so every substream seed gives a
+pair.  Samplers take a block of consecutive substream seeds (one seed is a
+block of one) and run one FFT along the rows of a reused buffer for the whole
+block; each substream keeps its own generator, so the block size changes no
+number.  The same engine draws fractional Gaussian noise for the heavy-tail
+limit process.  A block is a (2 * substreams, grid.n) array, one path per row,
+a substream's pair on consecutive rows, with t = 0 at grid.origin_index.
+Conditioning on an origin exceedance replaces the origin coordinate by an
+independent truncated normal and propagates it along the regression profile
+R(t)/R(0), which reproduces the conditional law exactly.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, SynthesisError
 from .kernels import Kernel
-from .streams import as_generator, generator
+from .streams import generators
 
 __all__ = [
     "Grid",
@@ -44,6 +48,9 @@ MAX_EMBED_SIZE = 2**23
 EIGENVALUE_TOL = 1e-12
 # Relative Frobenius error any accepted embedding must meet.
 FACTOR_TOL = 1e-8
+# Bytes of complex buffer one block of substreams fills before its one FFT; the
+# substreams per block follow from the circulant length (block_size).
+_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -153,17 +160,43 @@ def circulant_weights(
     )
 
 
-def circulant_draw(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Two independent exact draws of the n-point vector embedded by ``weights``,
-    as a (2, n) array: the real and imaginary parts of one FFT of complex
-    normals (Wood & Chan 1994; Dietrich & Newsam 1997), assembled in place: with
-    fewer temporaries the allocator reuses freed pages instead of faulting them in."""
+def block_size(weights: np.ndarray) -> int:
+    """Substreams per block for draws embedded by ``weights``: as many as fill
+    _BLOCK_BYTES of complex buffer, and at least one."""
+    return max(1, _BLOCK_BYTES // (16 * weights.size))
+
+
+_scratch = threading.local()
+
+
+def _block_buffers(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complex buffer a block's FFT reads, and a row of normals; allocated
+    once per lane and thread and refilled by every block, so no draw faults in
+    new pages.  No call reads a row it has not written first, so none sees
+    another's draws."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None or buffers[0].shape != (rows, m):
+        buffers = _scratch.buffers = (np.empty((rows, m), dtype=complex), np.empty(m))
+    return buffers
+
+
+def circulant_draw(weights: np.ndarray, n: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Two independent exact draws of the n-point vector embedded by ``weights``
+    per generator, as a (2 * len(rngs), n) array: the real and imaginary parts
+    of the FFT of one row of complex normals per generator (Wood & Chan 1994;
+    Dietrich & Newsam 1997).  Each generator draws its real normals, then its
+    imaginary ones; one FFT along the rows serves the whole block."""
     m = weights.size
-    z = np.empty(m, dtype=complex)
-    z.real, z.imag = rng.standard_normal(m), rng.standard_normal(m)  # real part first
+    z, normals = _block_buffers(m, max(len(rngs), block_size(weights)))
+    z = z[: len(rngs)]
+    for row, rng in zip(z, rngs):
+        row.real = rng.standard_normal(out=normals)  # real part first
+        row.imag = rng.standard_normal(out=normals)
     z *= weights
-    y = np.fft.fft(z)[:n]
-    return np.stack((y.real, y.imag))
+    y = np.fft.fft(z, axis=1)[:, :n]
+    pairs = np.empty((2 * len(rngs), n))
+    pairs[0::2], pairs[1::2] = y.real, y.imag
+    return pairs
 
 
 def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
@@ -175,10 +208,11 @@ def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
     return SamplerPlan(kernel, grid, gap, embed_factor, weights, profile)
 
 
-def sample_unconditional(plan: SamplerPlan, seed: int) -> np.ndarray:
-    """Two independent exact draws of the stationary path on the plan's grid,
-    as a (2, grid.n) array."""
-    return circulant_draw(plan.spectral_weights, plan.grid.n, generator(seed))
+def sample_unconditional(plan: SamplerPlan, seed) -> np.ndarray:
+    """Two independent exact draws of the stationary path on the plan's grid
+    per substream of ``seed`` (see streams.generators), as rows of a
+    (2 * substreams, grid.n) array."""
+    return circulant_draw(plan.spectral_weights, plan.grid.n, generators(seed))
 
 
 # Above this standardized threshold the inverse-CDF loses nothing to switch to
@@ -199,6 +233,8 @@ def _truncated_std_normal(a: float, rng: np.random.Generator) -> float:
         # (1 - U) keeps the argument strictly positive, so the inverse stays finite
         return -_STD_NORMAL.inv_cdf((1.0 - rng.uniform()) * q)
     lam = 0.5 * (a + math.sqrt(a * a + 4.0))
+    if lam == math.inf:  # a * a overflowed: no draw would ever be accepted
+        raise DomainError(f"threshold u / sigma = {a!r} is too large to sample above; its square overflows")
     while True:
         x = a + rng.standard_exponential() / lam
         # accept with probability exp(-(x - lam)^2 / 2)
@@ -214,28 +250,30 @@ def sample_truncated_normal(variance: float, u: float, seed) -> float:
     """
     if not variance > 0.0:
         raise DomainError(f"variance must be positive, got {variance!r}")
-    rng = as_generator(seed)
+    [rng] = generators(seed)
     sigma = math.sqrt(variance)
     return sigma * _truncated_std_normal(u / sigma, rng)
 
 
-def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed: int) -> np.ndarray:
+def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed) -> np.ndarray:
     """Two independent exact draws of the path conditioned on its origin value
-    exceeding u, as a (2, grid.n) array.
+    exceeding u per substream of ``seed`` (see streams.generators), as rows of
+    a (2 * substreams, grid.n) array.
 
-    Each half writes X + (R(t)/R(0)) * (xi - X_0) with X one unconditional
-    draw and xi its own truncated normal, drawn after the normals; the origin
-    value is xi itself, so the conditioning holds on every replicate, never by
-    rejection.
+    Each row is X + (R(t)/R(0)) * (xi - X_0) with X one unconditional draw and
+    xi its own truncated normal, drawn from the row's generator after the
+    normals; the origin value is xi itself, so the conditioning holds on every
+    replicate, never by rejection.
     """
-    rng = generator(seed)
-    pair = circulant_draw(plan.spectral_weights, plan.grid.n, rng)
+    rngs = generators(seed)
+    paths = circulant_draw(plan.spectral_weights, plan.grid.n, rngs)
     sigma = math.sqrt(plan.kernel.r0)
-    xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for _ in pair])
+    xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for rng in rngs for _ in range(2)])
     origin = plan.grid.origin_index
-    pair += np.outer(xi - pair[:, origin], plan.profile)
-    pair[:, origin] = xi  # exact, guards the strict exceedance against roundoff
-    return pair
+    for row, shift in zip(paths, xi - paths[:, origin]):  # in place, row by row: no block temporary
+        row += shift * plan.profile
+    paths[:, origin] = xi  # exact, guards the strict exceedance against roundoff
+    return paths
 
 
 def path_derivative_at_zero(grid: Grid, values: np.ndarray) -> float:

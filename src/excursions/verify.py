@@ -4,6 +4,8 @@ One master seed drives a run, on one thread.  Every substream seed yields a
 pair of independent draws: replicate i of a lane is half i % 2 of the pure
 substream (master, lane, i // 2), so a run of n replicates is the first n
 replicates of any longer run, and reports are bit-identical across repeats.
+Replicates are drawn and scanned in blocks of consecutive substreams
+(sampling.block_size); the block size changes no number.
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .crossings import ExcursionResult, crossing_bounds
+from .crossings import crossing_bounds
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
 from .limit_process import _fgn_weights, sample_limit_length
-from .sampling import Grid, SamplerPlan, build_sampler, sample_conditional_exceedance
+from .sampling import Grid, SamplerPlan, block_size, build_sampler, sample_conditional_exceedance
 from .streams import replicates, substream_seed
 
 __all__ = [
@@ -153,27 +155,25 @@ def wasserstein1(a: SampleSet, b: SampleSet) -> float:
 # replicate execution
 
 
-# One row per replicate: tau_minus, tau_plus, length (nan when censored).
-_INTERVAL_ROW = np.dtype((float, 3))
-
-
 def _drop_censored(lengths: np.ndarray) -> tuple[np.ndarray, int]:
     """Finite lengths and the count of censored (nan) ones."""
     kept = lengths[~np.isnan(lengths)]
     return kept, lengths.size - kept.size
 
 
-def _intervals(results: Iterable[ExcursionResult]) -> np.ndarray:
-    """Interval rows of excursion results, path crossings or limit draws alike."""
-    return np.fromiter(((r.tau_minus, r.tau_plus, r.length) for r in results), _INTERVAL_ROW)
+def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> np.ndarray:
+    """Interval rows (tau_minus, tau_plus, length) of n exactly conditioned
+    paths on the plan's grid, drawn and scanned one block at a time."""
+    draw = partial(sample_conditional_exceedance, plan, u)
+    blocks = replicates(draw, n, master_seed, lane, block_size(plan.spectral_weights))
+    return np.concatenate([crossing_bounds(plan.grid, paths, u) for paths in blocks])
 
 
-def _path_results(
-    plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int
-) -> Iterable[ExcursionResult]:
-    """Crossing results of n exactly conditioned paths on the plan's grid."""
-    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, lane)
-    return (crossing_bounds(plan.grid, values, u) for values in paths)
+def _limit_intervals(alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int) -> np.ndarray:
+    """Interval rows of n heavy-tail limit draws on the grid."""
+    draw = partial(sample_limit_length, alpha, r0, grid)
+    size = block_size(_fgn_weights(alpha, grid)[0])
+    return np.concatenate(list(replicates(draw, n, master_seed, lane, size)))
 
 
 def simulate_excursion_lengths(
@@ -191,7 +191,7 @@ def simulate_excursion_lengths(
     counted, never imputed.  Returns (lengths, n_censored).
     """
     plan = build_sampler(kernel, grid)
-    return _drop_censored(_intervals(_path_results(plan, u, n, master_seed, lane))[:, 2])
+    return _drop_censored(_path_intervals(plan, u, n, master_seed, lane)[:, 2])
 
 
 def draw_limit_lengths(
@@ -205,8 +205,7 @@ def draw_limit_lengths(
 ) -> tuple[np.ndarray, int]:
     """n draws of the heavy-tail limit interval length; censored draws dropped
     and counted."""
-    draws = replicates(partial(sample_limit_length, alpha, r0, grid), n, master_seed, lane)
-    return _drop_censored(_intervals(draws)[:, 2])
+    return _drop_censored(_limit_intervals(alpha, r0, grid, n, master_seed, lane)[:, 2])
 
 
 def median_excursion_length(
@@ -260,8 +259,9 @@ def covariance_panel(
 
     cols = [indices[s] for s in panel_times]
     profile = plan.profile[cols]
-    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, PATH_LANE)
-    rows = np.array([u * (path[cols] - profile * path[origin]) for path in paths])
+    draw = partial(sample_conditional_exceedance, plan, u)
+    blocks = replicates(draw, n, master_seed, PATH_LANE, block_size(plan.spectral_weights))
+    rows = np.concatenate([u * (paths[:, cols] - profile * paths[:, origin, None]) for paths in blocks])
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha
@@ -439,7 +439,7 @@ def run_verification(
         config.update(extra_config)
 
     plan = build_sampler(kernel, grid)
-    intervals = _intervals(_path_results(plan, u, n, master_seed, PATH_LANE))
+    intervals = _path_intervals(plan, u, n, master_seed, PATH_LANE)
     lengths, n_cens = _drop_censored(intervals[:, 2])
     _check_censor_budget(n_cens, n, "path simulation")
     censoring = {"path": _censoring(intervals, grid)}
@@ -456,8 +456,7 @@ def run_verification(
         reference_quantile = partial(c2_limit_quantile, params)
     else:
         d_u = delta_u(kernel, u)
-        draw_pair = partial(sample_limit_length, kernel.alpha, kernel.r0, limit)
-        limit_intervals = _intervals(replicates(draw_pair, n, master_seed, LIMIT_LANE))
+        limit_intervals = _limit_intervals(kernel.alpha, kernel.r0, limit, n, master_seed, LIMIT_LANE)
         limit_lengths, n_cens_limit = _drop_censored(limit_intervals[:, 2])
         _check_censor_budget(n_cens_limit, n, "limit-process draws")
         censoring["limit"] = _censoring(limit_intervals, limit)

@@ -93,8 +93,8 @@ def test_03_synthesis_covariance():
     plan = build_sampler(k, g)
     assert plan.fro_error <= 1e-8, f"factor error {plan.fro_error:.2e} > 1e-8"
     n = 2000
-    draw_pair = functools.partial(sample_unconditional, plan)
-    vals = np.vstack(list(replicates(draw_pair, n, 98765, 0)))
+    draw = functools.partial(sample_unconditional, plan)
+    vals = np.vstack(list(replicates(draw, n, 98765, 0, 8)))
     o = g.origin_index
     worst = 0.0
     for lag, offset in ((0.0, 0), (0.1, 1), (0.5, 5), (1.0, 10)):
@@ -168,10 +168,10 @@ def test_07_oracle_cross_validation():
     base = limit_grid()
     tilde_grid = Grid(base.step * scale, base.half_width * scale)
     n = 10000
-    lim_pair = functools.partial(sample_limit_length, alpha, 1.0, base)
-    til_pair = functools.partial(sample_tilde_length, alpha, tilde_grid)
-    lim = np.array([s.length for s in replicates(lim_pair, n, 777, 1)])
-    til = np.array([s.length for s in replicates(til_pair, n, 777, 2)])
+    lim_draw = functools.partial(sample_limit_length, alpha, 1.0, base)
+    til_draw = functools.partial(sample_tilde_length, alpha, tilde_grid)
+    lim = np.concatenate(list(replicates(lim_draw, n, 777, 1, 8)))[:, 2]
+    til = np.concatenate(list(replicates(til_draw, n, 777, 2, 8)))[:, 2]
     lim, til = lim[np.isfinite(lim)], til[np.isfinite(til)]
     stat, p = ks_two_sample(make_sample_set(til / scale), make_sample_set(lim))
     assert stat <= 0.03, f"self-similarity two-sample KS {stat:.4f} > 0.03"
@@ -203,13 +203,14 @@ def test_09_root_predictor():
     plan = build_sampler(k, c2_grid(u))
     r2 = second_derivative_at_zero(k)
     gaps = []
-    for p in replicates(functools.partial(sample_conditional_exceedance, plan, u), n, 424242, 0):
-        res = crossing_bounds(plan.grid, p, u)
-        if res.censored_right:
+    draw = functools.partial(sample_conditional_exceedance, plan, u)
+    for p in np.vstack(list(replicates(draw, n, 424242, 0, 4))):
+        _, tau_plus, _ = crossing_bounds(plan.grid, p, u)
+        if tau_plus == plan.grid.times()[-1]:  # censored on the right
             continue
         x0 = float(p[plan.grid.origin_index])
         pred = c2_root_predictor(x0, path_derivative_at_zero(plan.grid, p), r2 * x0 / k.r0, u)
-        gaps.append((pred - res.tau_plus) / res.tau_plus)
+        gaps.append((pred - tau_plus) / tau_plus)
     gaps = np.asarray(gaps)
     assert gaps.size >= 1000
     med = float(np.median(gaps))

@@ -263,6 +263,10 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         ["verify-ht", "--u", "1e-200"],
         ["sample-paths", "--alpha", "1", "--u", "1e-200"],
         ["diagnostics", "--u", "1e-200"],
+        # r0 * u * u overflowing, so delta_u would be 0
+        ["verify-ht", "--u", "1e200"],
+        ["sample-paths", "--alpha", "1", "--u", "1e200"],
+        ["diagnostics", "--u", "1e200"],
     ],
     ids=[
         "verify-u0",
@@ -281,6 +285,9 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         "verify-ht-u-underflow",
         "paths-u-underflow",
         "diagnostics-u-underflow",
+        "verify-ht-u-overflow",
+        "paths-u-overflow",
+        "diagnostics-u-overflow",
     ],
 )
 def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
@@ -288,7 +295,25 @@ def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--u" in argv:  # a bad threshold is named as such
+        assert "threshold u" in err, err
     assert not out.exists()
+
+
+def test_threshold_too_large_to_sample_exits_config_error(tmp_path):
+    # (u / sigma)**2 overflows above about 1.3e154; the truncated-normal
+    # sampler used to spin forever there instead of rejecting the input
+    src = str(Path(excursions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (["sample-paths", "--n", "1"], ["verify-c2", "--n", "200"]):
+        out = tmp_path / "big.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "excursions.cli", *argv, "--u", "1e160", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == EXIT_CONFIG_ERROR, (argv, res.stderr)
+        assert "threshold u" in res.stderr
+        assert not out.exists()
 
 
 def test_unexpected_exception_exits_internal_error_with_traceback(tmp_path, monkeypatch, capsys):

@@ -36,48 +36,47 @@ def _path(values, step=1.0):
 
 def test_crossing_bounds_hand_oracle():
     # v = [0, 1, 3, 1, 0] on integer times; u = 2 crosses halfway on each side
-    res = crossing_bounds(*_path([0.0, 1.0, 3.0, 1.0, 0.0]), 2.0)
-    assert res.tau_plus == pytest.approx(0.5, abs=1e-12)
-    assert res.tau_minus == pytest.approx(-0.5, abs=1e-12)
-    assert res.length == pytest.approx(1.0, abs=1e-12)
-    assert not res.censored_left and not res.censored_right
+    tau_minus, tau_plus, length = crossing_bounds(*_path([0.0, 1.0, 3.0, 1.0, 0.0]), 2.0)
+    assert tau_plus == pytest.approx(0.5, abs=1e-12)
+    assert tau_minus == pytest.approx(-0.5, abs=1e-12)
+    assert length == pytest.approx(1.0, abs=1e-12)  # finite: neither side censored
 
 
 def test_crossing_bounds_interpolation_fraction():
     # right crossing between t=1 (v=4) and t=2 (v=1): frac = (4-2)/(4-1)
-    res = crossing_bounds(*_path([0.0, 5.0, 6.0, 4.0, 1.0], step=1.0), 2.0)
-    assert res.tau_plus == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
+    _, tau_plus, _ = crossing_bounds(*_path([0.0, 5.0, 6.0, 4.0, 1.0], step=1.0), 2.0)
+    assert tau_plus == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
     # re-evaluating the linear interpolant at the crossing recovers the level
-    frac = res.tau_plus - 1.0
+    frac = tau_plus - 1.0
     assert 4.0 + frac * (1.0 - 4.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_parabola_crossing_matches_exact_roots():
     g = Grid(0.001, 1.5)
     t = g.times()
-    res = crossing_bounds(g, 1.0 - t * t, 0.0)
-    assert res.tau_plus == pytest.approx(1.0, abs=1e-5)
-    assert res.tau_minus == pytest.approx(-1.0, abs=1e-5)
-    assert res.length == pytest.approx(2.0, abs=2e-5)
+    tau_minus, tau_plus, length = crossing_bounds(g, 1.0 - t * t, 0.0)
+    assert tau_plus == pytest.approx(1.0, abs=1e-5)
+    assert tau_minus == pytest.approx(-1.0, abs=1e-5)
+    assert length == pytest.approx(2.0, abs=2e-5)
 
 
 def test_crossing_bounds_exact_touch_counts_as_crossing():
-    res = crossing_bounds(*_path([0.0, 2.0, 3.0, 2.0, 0.0]), 2.0)
+    tau_minus, tau_plus, _ = crossing_bounds(*_path([0.0, 2.0, 3.0, 2.0, 0.0]), 2.0)
     # grid value exactly at the level ends the excursion there
-    assert res.tau_plus == pytest.approx(1.0, abs=1e-12)
-    assert res.tau_minus == pytest.approx(-1.0, abs=1e-12)
+    assert tau_plus == pytest.approx(1.0, abs=1e-12)
+    assert tau_minus == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_crossing_bounds_censoring_flags():
-    res = crossing_bounds(*_path([3.0, 4.0, 5.0, 4.0, 3.0]), 2.0)
-    assert res.censored_left and res.censored_right
-    assert math.isnan(res.length)
-    assert res.tau_minus == -2.0 and res.tau_plus == 2.0
+    # a censored side is parked on the window's edge, and the length is nan
+    tau_minus, tau_plus, length = crossing_bounds(*_path([3.0, 4.0, 5.0, 4.0, 3.0]), 2.0)
+    assert math.isnan(length)
+    assert tau_minus == -2.0 and tau_plus == 2.0
 
-    res = crossing_bounds(*_path([3.0, 4.0, 5.0, 4.0, 1.0]), 2.0)
-    assert res.censored_left and not res.censored_right
-    assert math.isnan(res.length)
-    assert res.tau_plus == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
+    tau_minus, tau_plus, length = crossing_bounds(*_path([3.0, 4.0, 5.0, 4.0, 1.0]), 2.0)
+    assert math.isnan(length)
+    assert tau_minus == -2.0  # censored on the left only
+    assert tau_plus == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
 
 
 def test_crossing_bounds_requires_exceedance_at_origin():
@@ -97,20 +96,18 @@ def test_crossing_bounds_requires_exceedance_at_origin():
 def test_crossing_bounds_ordering_property(vals, u):
     vals = list(vals)
     vals[3] = u + 1.0  # force exceedance at the origin
-    res = crossing_bounds(*_path(vals), u)
-    assert res.tau_minus <= 0.0 <= res.tau_plus
-    assert -3.0 <= res.tau_minus and res.tau_plus <= 3.0
-    if res.censored_left or res.censored_right:
-        assert math.isnan(res.length)
+    tau_minus, tau_plus, length = crossing_bounds(*_path(vals), u)
+    assert tau_minus <= 0.0 <= tau_plus
+    assert -3.0 <= tau_minus and tau_plus <= 3.0
+    if math.isnan(length):  # censored: a side is parked on the window's edge
+        assert tau_minus == -3.0 or tau_plus == 3.0
     else:
-        assert res.length == pytest.approx(res.tau_plus - res.tau_minus, abs=1e-12)
-        assert res.length >= 0.0
+        assert length == pytest.approx(tau_plus - tau_minus, abs=1e-12)
+        assert length >= 0.0
     # raising the level never widens the excursion
-    higher = crossing_bounds(*_path(vals), u + 0.25)
-    if not any(
-        (res.censored_left, res.censored_right, higher.censored_left, higher.censored_right)
-    ):
-        assert higher.length <= res.length + 1e-12
+    higher = crossing_bounds(*_path(vals), u + 0.25)[2]
+    if not (math.isnan(length) or math.isnan(higher)):
+        assert higher <= length + 1e-12
 
 
 def test_root_predictor_exact_parabola():
@@ -151,13 +148,14 @@ def _predictor_gaps(u, n, master_seed):
     plan = build_sampler(k, c2_grid(u))
     r2 = -2.0
     gaps = []
-    for p in replicates(partial(sample_conditional_exceedance, plan, u), n, master_seed, 0):
-        res = crossing_bounds(plan.grid, p, u)
-        if res.censored_right:
+    draw = partial(sample_conditional_exceedance, plan, u)
+    for p in np.vstack(list(replicates(draw, n, master_seed, 0, 4))):
+        _, tau_plus, _ = crossing_bounds(plan.grid, p, u)
+        if tau_plus == plan.grid.times()[-1]:  # censored on the right
             continue
         x0 = float(p[plan.grid.origin_index])
         pred = c2_root_predictor(x0, path_derivative_at_zero(plan.grid, p), r2 * x0 / k.r0, u)
-        gaps.append((pred - res.tau_plus) / res.tau_plus)
+        gaps.append((pred - tau_plus) / tau_plus)
     return np.asarray(gaps)
 
 
@@ -178,8 +176,13 @@ def test_root_predictor_dispersion_shrinks_with_threshold():
 def _path_lane(alpha, u, n, seed):
     k = make_kernel(alpha)
     grid = c2_grid(u) if alpha == 2.0 else heavy_tail_grid(k, u)
-    pairs = partial(sample_conditional_exceedance, build_sampler(k, grid), u)
-    return (crossing_bounds(grid, p, u) for p in replicates(pairs, n, seed, 0))
+    draw = partial(sample_conditional_exceedance, build_sampler(k, grid), u)
+    return np.concatenate([crossing_bounds(grid, paths, u) for paths in replicates(draw, n, seed, 0, 4)])
+
+
+def _limit_lane(alpha, n, seed):
+    draw = partial(sample_limit_length, alpha, 1.0, limit_grid())
+    return np.concatenate(list(replicates(draw, n, seed, 1, 8)))
 
 
 @pytest.mark.parametrize(
@@ -187,7 +190,7 @@ def _path_lane(alpha, u, n, seed):
     [
         lambda n: _path_lane(2.0, 6.0, n, 1729),
         lambda n: _path_lane(1.0, 10.0, n, 1729),
-        lambda n: replicates(partial(sample_limit_length, 1.0, 1.0, limit_grid()), n, 1729, 1),
+        lambda n: _limit_lane(1.0, n, 1729),
     ],
     ids=["path-alpha2-u6", "path-alpha1-u10", "limit-alpha1"],
 )
@@ -197,7 +200,8 @@ def test_origin_sits_uniformly_inside_its_excursion(lane):
     # On the alpha = 1 lanes, placing one side's crossing a cell late, or the
     # regression profile one index off, breaks these bounds.
     n = 4000
-    rows = np.array([(r.tau_plus, r.length) for r in lane(n) if not math.isnan(r.length)])
+    intervals = lane(n)
+    rows = intervals[~np.isnan(intervals[:, 2]), 1:]  # (tau_plus, length) of the uncensored
     assert rows.shape[0] >= 0.99 * n
     share = rows[:, 0] / rows[:, 1]
     assert stats.kstest(share, "uniform").statistic <= 2.0 / math.sqrt(n)

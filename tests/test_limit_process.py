@@ -104,12 +104,11 @@ def test_limit_process_deterministic_drift_geometry():
     g = Grid(0.01, 10.0)
     y = limit_process_values(g, np.zeros(g.n), 2.0, 1.0, c_alpha(1.0), 1.0)
     assert y[g.origin_index] == 2.0  # Y(0) = r0 * t*, exactly
-    res = _hitting(g, y)
+    tau_minus, tau_plus, length = _hitting(g, y)
     root = 2.0 / c_alpha(1.0)  # solves t* = c |t|
-    assert res.tau_plus == pytest.approx(root, abs=1e-9)
-    assert res.tau_minus == pytest.approx(-root, abs=1e-9)
-    assert res.length == pytest.approx(2.0 * root, abs=1e-9)
-    assert not (res.censored_left or res.censored_right)
+    assert tau_plus == pytest.approx(root, abs=1e-9)
+    assert tau_minus == pytest.approx(-root, abs=1e-9)
+    assert length == pytest.approx(2.0 * root, abs=1e-9)  # finite: neither side censored
 
 
 def test_tilde_process_deterministic_drift_geometry():
@@ -117,9 +116,9 @@ def test_tilde_process_deterministic_drift_geometry():
     g = Grid(0.01, 10.0)
     y = limit_process_values(g, np.zeros(g.n), 0.5, 1.0, 1.0, 1.0)
     assert y[g.origin_index] == 0.5
-    res = _hitting(g, y)
-    assert res.tau_plus == pytest.approx(0.5, abs=1e-12)
-    assert res.tau_minus == pytest.approx(-0.5, abs=1e-12)
+    tau_minus, tau_plus, _ = _hitting(g, y)
+    assert tau_plus == pytest.approx(0.5, abs=1e-12)
+    assert tau_minus == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_limit_process_mean_drift():
@@ -128,7 +127,7 @@ def test_limit_process_mean_drift():
     col = g.origin_index + 4  # t = 1
     n = 2000
     vals = np.empty(n)
-    fbms = replicates(partial(fbm_two_sided, 1.0, g), n, 17, 1)
+    fbms = np.concatenate(list(replicates(partial(fbm_two_sided, 1.0, g), n, 17, 1, 8)))
     for i, fbm in enumerate(fbms):
         t_star = float(generator(substream_seed(17, 0, i)).standard_exponential())
         vals[i] = limit_process_values(g, fbm, t_star, 1.0, c_alpha(1.0), 1.0)[col]
@@ -145,7 +144,7 @@ def test_tilde_and_limit_scaling_identity_without_noise():
     g_lim, g_til = Grid(0.01, 10.0), Grid(0.01 * scale, 10.0 * scale)
     lim = _hitting(g_lim, limit_process_values(g_lim, np.zeros(g_lim.n), t_star, alpha, c, 1.0))
     til = _hitting(g_til, limit_process_values(g_til, np.zeros(g_til.n), t_star, alpha, 1.0, 1.0))
-    assert til.length == pytest.approx(scale * lim.length, abs=1e-9)
+    assert til[2] == pytest.approx(scale * lim[2], abs=1e-9)
 
 
 def test_limit_process_validation():
@@ -165,25 +164,27 @@ def test_sample_limit_length_deterministic_and_positive():
     g = Grid(0.02, 8.0)
     a = sample_limit_length(1.0, 1.0, g, 55)
     b = sample_limit_length(1.0, 1.0, g, 55)
-    assert len(a) == 2
-    assert not any(s.censored_left or s.censored_right for s in a)
-    assert a == b
-    assert a[0] != a[1]
-    for s in replicates(partial(sample_limit_length, 1.0, 1.0, g), 50, 56, 1):
-        if s.censored_left or s.censored_right:
-            assert math.isnan(s.length)
+    assert a.shape == (2, 3)  # (tau_minus, tau_plus, length) of each half
+    assert not np.isnan(a).any()  # neither draw censored
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a[0], a[1])
+    for tau_minus, tau_plus, length in np.concatenate(
+        list(replicates(partial(sample_limit_length, 1.0, 1.0, g), 50, 56, 1, 8))
+    ):
+        if math.isnan(length):  # censored: a side is parked on the window's edge
+            assert tau_minus == -8.0 or tau_plus == 8.0
         else:
-            assert s.tau_minus < 0.0 < s.tau_plus
-            assert s.length == pytest.approx(s.tau_plus - s.tau_minus, abs=1e-12)
+            assert tau_minus < 0.0 < tau_plus
+            assert length == pytest.approx(tau_plus - tau_minus, abs=1e-12)
 
 
 def test_sample_tilde_length_deterministic():
     g = Grid(0.05, 10.0)
     a = sample_tilde_length(0.75, g, 77)
     b = sample_tilde_length(0.75, g, 77)
-    assert len(a) == 2
-    assert not any(s.censored_left or s.censored_right for s in a)
-    assert a == b
+    assert a.shape == (2, 3)
+    assert not np.isnan(a).any()  # neither draw censored
+    np.testing.assert_array_equal(a, b)
 
 
 def test_narrow_window_censors_without_bias():
@@ -191,13 +192,13 @@ def test_narrow_window_censors_without_bias():
     # |t| = 1, so its censor rate must match that share on a wide window;
     # redrawing censored intervals would push the narrow rate toward zero
     n = 2000
-    narrow = sum(
-        s.censored_left or s.censored_right
-        for s in replicates(partial(sample_limit_length, 1.0, 1.0, Grid(0.01, 1.0)), n, 99, 1)
-    )
-    wide = 0
-    for s in replicates(partial(sample_limit_length, 1.0, 1.0, Grid(0.01, 10.0)), n, 99, 2):
-        wide += s.censored_left or s.censored_right or max(-s.tau_minus, s.tau_plus) > 1.0
+    def draws(half_width, lane):
+        draw = partial(sample_limit_length, 1.0, 1.0, Grid(0.01, half_width))
+        return np.concatenate(list(replicates(draw, n, 99, lane, 8)))
+
+    narrow = int(np.isnan(draws(1.0, 1)[:, 2]).sum())
+    wide_draws = draws(10.0, 2)
+    wide = int((np.isnan(wide_draws[:, 2]) | (np.abs(wide_draws[:, :2]).max(axis=1) > 1.0)).sum())
     p_narrow, p_wide = narrow / n, wide / n
     se = math.sqrt((p_narrow * (1.0 - p_narrow) + p_wide * (1.0 - p_wide)) / n)
     assert p_narrow > 0.05  # the narrow window does censor

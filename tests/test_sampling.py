@@ -1,6 +1,8 @@
 """Grid geometry, exact Gaussian path synthesis, and threshold conditioning."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -220,6 +222,41 @@ def test_truncated_normal_domain_errors():
         sample_truncated_normal(-1.0, 1.0, 1)
 
 
+def test_concurrent_draws_keep_their_own_block_buffers():
+    # each thread refills its own block buffers, so threads drawing at once
+    # get the numbers a lone caller gets
+    plan = build_sampler(make_kernel(1.0), Grid(0.01, 20.0))
+    seeds = [substream_seed(3, 0, k) for k in range(4)]
+    expected = sample_unconditional(plan, seeds)
+    results = []
+
+    def work():
+        for _ in range(20):
+            results.append(sample_unconditional(plan, seeds))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 80
+    for got in results:
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_truncated_normal_rejects_a_threshold_whose_square_overflows():
+    # (u / sigma)**2 = inf leaves the rejection rate lam infinite, so no draw
+    # would ever be accepted: the sampler must refuse instead of spinning
+    with pytest.raises(DomainError):
+        sample_truncated_normal(1.0, 1e160, 1)
+
+
 def test_normal_tail_matches_scipy_ndtr():
     # the inverse-CDF branch sees a = u / sigma <= 2, down to vacuous thresholds
     a = np.linspace(-40.0, 2.0, 10_000)
@@ -249,7 +286,7 @@ def test_conditional_exceedance_pins_origin_above_threshold():
     plan = build_sampler(k, Grid(0.002, 0.8))
     u = 5.0
     n = 4000
-    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, 8, 0)
+    paths = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, u), n, 8, 0, 8)))
     excess = np.array([p[plan.grid.origin_index] - u for p in paths])
     assert (excess > 0.0).all()
     # exact conditioning: mean overshoot equals the Mills-ratio value
@@ -272,7 +309,7 @@ def test_vacuous_conditioning_recovers_unconditional_law():
     g = Grid(0.25, 1.0)
     plan = build_sampler(k, g)
     n = 2500
-    vals = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, -1e9), n, 13, 0)))
+    vals = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, -1e9), n, 13, 0, 8)))
     o = g.origin_index
     for offset, lag in ((0, 0.0), (2, 0.5), (4, 1.0)):
         prods = vals[:, o] * vals[:, o + offset]
@@ -287,7 +324,7 @@ def test_conditional_residual_covariance_is_exact():
     g = Grid(0.25, 1.0)
     plan = build_sampler(k, g)
     n = 3000
-    vals = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, 6.0), n, 14, 0)))
+    vals = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, 6.0), n, 14, 0, 8)))
     o = g.origin_index
     profile = k.value(g.times())
     resid = vals - np.outer(vals[:, o], profile)
@@ -315,7 +352,7 @@ def test_conditional_marginal_matches_limit_components():
     plan = build_sampler(k, g)
     col = g.origin_index + 5
     n = 4000
-    paths = replicates(partial(sample_conditional_exceedance, plan, u), n, 15, 0)
+    paths = np.vstack(list(replicates(partial(sample_conditional_exceedance, plan, u), n, 15, 0, 8)))
     draws = np.array([p[col] for p in paths])
     y = u * (draws - u)
     c = c_alpha(1.0)
@@ -338,7 +375,7 @@ def test_path_derivative_variance_matches_curvature():
     # fine grid reproduce the variance up to O(step^2) bias
     plan = build_sampler(make_kernel(2.0), Grid(0.001, 0.002))
     n = 5000
-    paths = replicates(partial(sample_unconditional, plan), n, 16, 0)
+    paths = np.vstack(list(replicates(partial(sample_unconditional, plan), n, 16, 0, 8)))
     slopes = np.array([path_derivative_at_zero(plan.grid, p) for p in paths])
     var = slopes.var(ddof=1)
     se = var * math.sqrt(2.0 / (n - 1))

@@ -3,6 +3,7 @@ verification driver."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from excursions import (
     simulate_excursion_lengths,
     wasserstein1,
 )
-from excursions import verify
-from excursions.sampling import FACTOR_TOL, _next_smooth
+from excursions import build_sampler, sampling, verify
+from excursions.limit_process import _fgn_weights
+from excursions.sampling import FACTOR_TOL, _next_smooth, _truncated_std_normal
 from excursions.streams import generator, substream_seed
 from excursions.verify import (
     CENSOR_BUDGET,
@@ -190,6 +192,126 @@ def test_simulated_lengths_are_a_prefix_of_longer_runs(n):
     longer, cens_l = simulate_excursion_lengths(k, 6.0, g, n + 3, 4321)
     assert cens_s == cens_l == 0  # nothing censored, so indices line up
     np.testing.assert_array_equal(short, longer[:n])
+
+
+def _reference_draw(weights, n, rng):
+    """The per-pair circulant draw: real normals, imaginary normals, one 1-D FFT."""
+    m = weights.size
+    z = np.empty(m, dtype=complex)
+    z.real, z.imag = rng.standard_normal(m), rng.standard_normal(m)
+    z *= weights
+    y = np.fft.fft(z)[:n]
+    return np.stack((y.real, y.imag))
+
+
+def _reference_scan(grid, values, u):
+    """The scalar scan: nonzero over each side, then linear interpolation in the
+    first cell that reaches u; a censored side is parked on the window's edge."""
+    o, t, step = grid.origin_index, grid.times(), grid.step
+    right = np.nonzero(values[o:] <= u)[0]
+    left = np.nonzero(values[: o + 1] <= u)[0]
+    tau_plus, tau_minus = t[-1], t[0]
+    if right.size:
+        j = o + int(right[0])
+        tau_plus = t[j - 1] + (values[j - 1] - u) / (values[j - 1] - values[j]) * step
+    if left.size:
+        i = int(left[-1])
+        tau_minus = t[i + 1] - (values[i + 1] - u) / (values[i + 1] - values[i]) * step
+    return tau_minus, tau_plus, tau_plus - tau_minus if right.size and left.size else math.nan
+
+
+def _reference_path_rows(plan, u, n, seed):
+    """Interval rows of n conditioned paths, one substream pair at a time."""
+    o, sigma = plan.grid.origin_index, math.sqrt(plan.kernel.r0)
+    rows = []
+    for k in range((n + 1) // 2):
+        rng = generator(substream_seed(seed, PATH_LANE, k))
+        pair = _reference_draw(plan.spectral_weights, plan.grid.n, rng)
+        xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for _ in pair])
+        pair += np.outer(xi - pair[:, o], plan.profile)
+        pair[:, o] = xi
+        rows += [_reference_scan(plan.grid, values, u) for values in pair]
+    return np.array(rows[:n])
+
+
+def _reference_limit_rows(alpha, grid, n, seed):
+    """Interval rows of n limit draws (r0 = 1), one substream pair at a time."""
+    weights, c, t = _fgn_weights(alpha, grid)[0], c_alpha(alpha), grid.times()
+    rows = []
+    for k in range((n + 1) // 2):
+        rng = generator(substream_seed(seed, LIMIT_LANE, k))
+        increments = _reference_draw(weights, grid.n - 1, rng)
+        values = np.concatenate((np.zeros((2, 1)), np.cumsum(increments, axis=1)), axis=1)
+        for b in values - values[:, grid.origin_index, None]:
+            t_star = float(rng.standard_exponential())
+            while t_star == 0.0:
+                t_star = float(rng.standard_exponential())
+            y = math.sqrt(2.0 * c) * b + t_star - c * np.abs(t) ** alpha
+            rows.append(_reference_scan(grid, y, 0.0))
+    return np.array(rows[:n])
+
+
+def _engine_and_reference(lane, window, n, seed):
+    """(grid, embedding weights, engine rows thunk, reference rows) of one lane."""
+    if lane == "limit":
+        grid = limit_grid() if window is None else limit_grid(0.02, window)
+        weights = _fgn_weights(1.0, grid)[0]
+        engine = lambda: verify._limit_intervals(1.0, 1.0, grid, n, seed, LIMIT_LANE)  # noqa: E731
+        return grid, weights, engine, _reference_limit_rows(1.0, grid, n, seed)
+    alpha, u = {"path-alpha2-u6": (2.0, 6.0), "path-alpha1-u10": (1.0, 10.0)}[lane]
+    k = make_kernel(alpha)
+    if alpha == 2.0:
+        grid = c2_grid(u)
+    else:
+        grid = heavy_tail_grid(k, u) if window is None else heavy_tail_grid(k, u, 0.02, window)
+    plan = build_sampler(k, grid)
+    engine = lambda: verify._path_intervals(plan, u, n, seed, PATH_LANE)  # noqa: E731
+    return grid, plan.spectral_weights, engine, _reference_path_rows(plan, u, n, seed)
+
+
+@pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "default"])
+@pytest.mark.parametrize(
+    "lane, window, n",
+    [
+        ("path-alpha2-u6", None, 37),
+        ("path-alpha1-u10", None, 37),
+        ("limit", None, 37),
+        ("path-alpha1-u10", 2.5, 201),
+        ("limit", 2.5, 201),
+    ],
+    ids=["path-alpha2-u6", "path-alpha1-u10", "limit-alpha1", "path-censored", "limit-censored"],
+)
+def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, lane, window, n, block):
+    # replicates drawn in blocks of substreams equal those drawn one substream
+    # pair at a time, whatever the block size; the 2.5 delta_u window censors
+    # both sides of some replicates, so nan lengths and edge parking count too
+    grid, weights, engine, reference = _engine_and_reference(lane, window, n, 1729)
+    if block is not None:
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", block * 16 * weights.size)
+        assert sampling.block_size(weights) == block
+    rows = engine()
+    assert rows.shape == (n, 3)
+    np.testing.assert_array_equal(rows, reference)
+    if window is not None:
+        t = grid.times()
+        assert (reference[:, 0] == t[0]).any() and (reference[:, 1] == t[-1]).any()
+        assert np.isnan(reference[:, 2]).any()
+
+
+def test_memory_stays_flat_in_the_run_size():
+    # blocks reuse one buffer, so a run holds one block of paths at a time
+    k, g = make_kernel(2.0), c2_grid(6.0)
+    simulate_excursion_lengths(k, 6.0, g, 40, 1)  # warm-up
+    peaks = {}
+    for n in (400, 2000):
+        tracemalloc.start()
+        try:
+            simulate_excursion_lengths(k, 6.0, g, n, 1729)
+            peaks[n] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= 3.0, peaks
+    assert abs(peaks[2000] - peaks[400]) < 0.25, peaks
 
 
 def test_lane_separation():
