@@ -28,8 +28,8 @@ __all__ = [
 
 
 @lru_cache(maxsize=32)
-def _fgn_weights(alpha: float, grid: Grid) -> tuple[np.ndarray, float, int]:
-    """(weights, fro_error, embed_factor) of the circulant embedding of the
+def _fgn_weights(alpha: float, grid: Grid) -> tuple[np.ndarray, float, int, int]:
+    """(weights, fro_error, embed_factor, band) of the circulant embedding of the
     fractional Gaussian noise formed by the grid.n - 1 increments of an fBm
     with Var B(t) = |t|**alpha; cached because every replicate on the same
     grid reuses them, and reports read the embedding's quality back."""
@@ -52,7 +52,8 @@ def fbm_two_sided(alpha: float, grid: Grid, seed) -> np.ndarray:
     (2 * substreams, grid.n) array with B(0) = 0 exactly.  Davies-Harte:
     cumulative sums of exact fGn, shifted to pin the origin; exact for the
     two-sided fBm because its increments are stationary."""
-    increments = circulant_draw(_fgn_weights(alpha, grid)[0], grid.n - 1, generators(seed))
+    weights, _, _, band = _fgn_weights(alpha, grid)
+    increments = circulant_draw(weights, band, grid.n - 1, generators(seed))
     values = np.zeros((len(increments), grid.n))
     np.cumsum(increments, axis=1, out=values[:, 1:])
     values -= values[:, [grid.origin_index]]  # a copy of the origin column, then in place

@@ -4,11 +4,15 @@ Sampling is exact (no AR/Markov approximation): circulant embedding of the
 Toeplitz covariance, padded until the spectrum is non-negative and the realized
 covariance passes a Frobenius check.  One complex FFT yields two independent
 exact draws, its real and imaginary parts, so every substream seed gives a
-pair.  Samplers take a block of consecutive substream seeds (one seed is a
-block of one) and run one FFT along the rows of a reused buffer for the whole
-block; each substream keeps its own generator, so the block size changes no
-number.  The same engine draws fractional Gaussian noise for the heavy-tail
-limit process.  A block is a (2 * substreams, grid.n) array, one path per row,
+pair.  Eigenvalues at or below EIGENVALUE_TOL times the largest are clamped
+to zero, and normals are drawn only for the band of circular frequencies
+|k| <= K that keeps a nonzero weight: the exp(-t**2) kernel keeps a few dozen
+of its thousands of modes, the default heavy-tail embeddings keep them all.
+Samplers take a block of consecutive substream seeds (one seed is a block of
+one) and run one FFT along the rows of a reused buffer for the whole block;
+each substream keeps its own generator, so the block size changes no number.
+The same engine draws fractional Gaussian noise for the heavy-tail limit
+process.  A block is a (2 * substreams, grid.n) array, one path per row,
 a substream's pair on consecutive rows, with t = 0 at grid.origin_index.
 Conditioning on an origin exceedance replaces the origin coordinate by an
 independent truncated normal and propagates it along the regression profile
@@ -43,8 +47,9 @@ __all__ = [
 # the circulant would exceed this many points (a memory guard of 128 MiB per
 # complex draw); then synthesis gives up.
 MAX_EMBED_SIZE = 2**23
-# Negative circulant eigenvalues above this fraction of the largest one are
-# treated as roundoff and clamped to zero.
+# Circulant eigenvalues at or below this fraction of the largest one are
+# clamped to zero, and their modes are never drawn; an embedding whose
+# spectrum dips below minus this fraction is rejected as indefinite.
 EIGENVALUE_TOL = 1e-12
 # Relative Frobenius error any accepted embedding must meet.
 FACTOR_TOL = 1e-8
@@ -95,6 +100,7 @@ class SamplerPlan:
     fro_error: float
     embed_factor: int
     spectral_weights: np.ndarray  # sqrt(lam / M), length M
+    band: int  # largest circular frequency with a nonzero weight
     profile: np.ndarray  # regression profile R(t)/R(0) on the grid
 
 
@@ -126,7 +132,7 @@ def _next_smooth(m: int) -> int:
 
 def circulant_weights(
     autocov: Callable[[np.ndarray], np.ndarray], n: int
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, int, int]:
     """Spectral weights of an exact circulant embedding of a stationary
     n-point Gaussian vector whose lag-k covariance is autocov(k).
 
@@ -134,10 +140,13 @@ def circulant_weights(
     doubling factors f = 1, 2, 4, ..., are tried in turn, up to MAX_EMBED_SIZE
     circulant points; the first n points of a longer row's embedding are still
     exact.  One is rejected when its spectrum dips below -EIGENVALUE_TOL * max
-    eigenvalue, or when the covariance the clamped spectrum delivers misses the
-    target by more than FACTOR_TOL in relative Frobenius norm.  Returns
-    (weights, fro_error, embed_factor), else raises SynthesisError; a grid
-    whose first embedding is already too large raises DomainError.
+    eigenvalue.  Otherwise every eigenvalue at or below EIGENVALUE_TOL * max is
+    clamped to zero, and the embedding is rejected when the covariance the
+    clamped spectrum delivers misses the target by more than FACTOR_TOL in
+    relative Frobenius norm: the spectrum checked is the one drawn.  Returns
+    (weights, fro_error, embed_factor, band), band being the largest circular
+    frequency min(k, M - k) with a nonzero weight, else raises SynthesisError;
+    a grid whose first embedding is already too large raises DomainError.
     """
     if (size := 2 * _next_smooth(n - 1)) > MAX_EMBED_SIZE:  # before anything is allocated
         raise DomainError(
@@ -148,12 +157,15 @@ def circulant_weights(
         row = autocov(np.arange(ext + 1))
         c = np.concatenate([row, row[-2:0:-1]])  # wrapped row, length 2 * ext
         lam = np.fft.fft(c).real
-        if float(lam.min()) >= -EIGENVALUE_TOL * float(lam.max()):
-            lam = np.maximum(lam, 0.0)
+        floor = EIGENVALUE_TOL * float(lam.max())
+        if float(lam.min()) >= -floor:
+            lam[lam <= floor] = 0.0
             realized = np.fft.ifft(lam).real  # covariance the clamped spectrum delivers
             gap = _toeplitz_fro_gap(row, realized, n)
             if gap <= FACTOR_TOL:
-                return np.sqrt(lam / lam.size), gap, embed_factor
+                kept = np.flatnonzero(lam)
+                band = int(np.minimum(kept, lam.size - kept).max())
+                return np.sqrt(lam / lam.size), gap, embed_factor, band
         embed_factor *= 2
     raise SynthesisError(
         f"no circulant embedding of at most {MAX_EMBED_SIZE} points met the exactness tolerance"
@@ -164,6 +176,13 @@ def block_size(weights: np.ndarray) -> int:
     """Substreams per block for draws embedded by ``weights``: as many as fill
     _BLOCK_BYTES of complex buffer, and at least one."""
     return max(1, _BLOCK_BYTES // (16 * weights.size))
+
+
+def band_split(size: int, band: int) -> tuple[int, int]:
+    """(head, tail): the modes min(k, size - k) <= band of a size-point
+    circulant are [0, head) and [size - tail, size), the whole circle when the
+    band covers it; head + tail normals are drawn per real or imaginary part."""
+    return (band + 1, band) if 2 * band + 1 < size else (size, 0)
 
 
 _scratch = threading.local()
@@ -180,19 +199,24 @@ def _block_buffers(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return buffers
 
 
-def circulant_draw(weights: np.ndarray, n: int, rngs: list[np.random.Generator]) -> np.ndarray:
+def circulant_draw(weights: np.ndarray, band: int, n: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """Two independent exact draws of the n-point vector embedded by ``weights``
     per generator, as a (2 * len(rngs), n) array: the real and imaginary parts
     of the FFT of one row of complex normals per generator (Wood & Chan 1994;
-    Dietrich & Newsam 1997).  Each generator draws its real normals, then its
-    imaginary ones; one FFT along the rows serves the whole block."""
+    Dietrich & Newsam 1997).  Each generator draws its real normals for the
+    modes of the band (band_split) in ascending order, then its imaginary ones;
+    every other mode is zero.  One FFT along the rows serves the whole block."""
     m = weights.size
+    head, tail = band_split(m, band)
     z, normals = _block_buffers(m, max(len(rngs), block_size(weights)))
-    z = z[: len(rngs)]
+    z, normals = z[: len(rngs)], normals[: head + tail]
+    z[:, head : m - tail] = 0.0  # the buffer holds the last block's draws
     for row, rng in zip(z, rngs):
-        row.real = rng.standard_normal(out=normals)  # real part first
-        row.imag = rng.standard_normal(out=normals)
-    z *= weights
+        for part in (row.real, row.imag):  # real part first
+            rng.standard_normal(out=normals)
+            part[:head], part[m - tail :] = normals[:head], normals[head:]
+    for modes in (slice(0, head), slice(m - tail, m)):
+        z[:, modes] *= weights[modes]
     y = np.fft.fft(z, axis=1)[:, :n]
     pairs = np.empty((2 * len(rngs), n))
     pairs[0::2], pairs[1::2] = y.real, y.imag
@@ -201,18 +225,18 @@ def circulant_draw(weights: np.ndarray, n: int, rngs: list[np.random.Generator])
 
 def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
     """Embed the grid covariance once, for reuse across replicates."""
-    weights, gap, embed_factor = circulant_weights(
+    weights, gap, embed_factor, band = circulant_weights(
         lambda lags: kernel.value(lags * grid.step), grid.n
     )
     profile = kernel.value(grid.times()) / kernel.r0
-    return SamplerPlan(kernel, grid, gap, embed_factor, weights, profile)
+    return SamplerPlan(kernel, grid, gap, embed_factor, weights, band, profile)
 
 
 def sample_unconditional(plan: SamplerPlan, seed) -> np.ndarray:
     """Two independent exact draws of the stationary path on the plan's grid
     per substream of ``seed`` (see streams.generators), as rows of a
     (2 * substreams, grid.n) array."""
-    return circulant_draw(plan.spectral_weights, plan.grid.n, generators(seed))
+    return circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, generators(seed))
 
 
 # Above this standardized threshold the inverse-CDF loses nothing to switch to
@@ -266,7 +290,7 @@ def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed) -> np.ndarr
     replicate, never by rejection.
     """
     rngs = generators(seed)
-    paths = circulant_draw(plan.spectral_weights, plan.grid.n, rngs)
+    paths = circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, rngs)
     sigma = math.sqrt(plan.kernel.r0)
     xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for rng in rngs for _ in range(2)])
     origin = plan.grid.origin_index

@@ -23,7 +23,7 @@ from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
 from .limit_process import _fgn_weights, sample_limit_length
-from .sampling import Grid, SamplerPlan, block_size, build_sampler, sample_conditional_exceedance
+from .sampling import Grid, SamplerPlan, band_split, block_size, build_sampler, sample_conditional_exceedance
 from .streams import replicates, substream_seed
 
 __all__ = [
@@ -66,7 +66,7 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +372,16 @@ def _censoring(intervals: np.ndarray, grid: Grid) -> dict:
     }
 
 
-def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int) -> dict:
+def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int, band: int) -> dict:
     """Quality and size of one lane's circulant embedding; fft_len is the
     circulant length, which padding to a 5-smooth size decouples from
-    embed_factor."""
-    return {"embed_factor": embed_factor, "fro_error": fro_error, "fft_len": int(weights.size)}
+    embed_factor, and modes the complex modes drawn per pair."""
+    return {
+        "embed_factor": embed_factor,
+        "fro_error": fro_error,
+        "fft_len": int(weights.size),
+        "modes": sum(band_split(weights.size, band)),
+    }
 
 
 def _sample_quantile(s: SampleSet, p: float) -> float:
@@ -443,7 +448,7 @@ def run_verification(
     lengths, n_cens = _drop_censored(intervals[:, 2])
     _check_censor_budget(n_cens, n, "path simulation")
     censoring = {"path": _censoring(intervals, grid)}
-    synthesis = {"path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor)}
+    synthesis = {"path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band)}
 
     if regime == "C2":
         d_u = n_cens_limit = None

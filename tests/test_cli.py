@@ -130,7 +130,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 6
+    assert payload["schema_version"] == 7
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"] == {"grid_step_factor": 0.01, "window_factor": 20.0}

@@ -40,7 +40,7 @@ def test_fbm_factor_reconstructs_covariance(alpha):
     # covariance the circulant weights deliver to the fGn increments, mapped
     # through cumsum-and-pin, must be the exact fBm covariance on the grid
     g = Grid(0.25, 1.5)
-    weights, fro_error, _ = _fgn_weights(alpha, g)
+    weights, fro_error, *_ = _fgn_weights(alpha, g)
     assert fro_error <= FACTOR_TOL
     m = g.n - 1
     fgn_row = np.fft.ifft(weights**2 * weights.size).real[:m]
@@ -55,7 +55,7 @@ def test_fbm_factor_reconstructs_covariance(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5])
 def test_default_limit_grid_embeds_on_a_smooth_fft_length(alpha):
     # 2000 increments: the row out to lag 1999 (prime) is padded to lag 2000
-    weights, fro_error, embed_factor = _fgn_weights(alpha, limit_grid())
+    weights, fro_error, embed_factor, _ = _fgn_weights(alpha, limit_grid())
     assert (weights.size, embed_factor) == (4000, 1)
     assert fro_error <= FACTOR_TOL
 

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -28,8 +29,10 @@ from excursions import (
 from excursions.sampling import (
     _STD_NORMAL,
     FACTOR_TOL,
+    _block_buffers,
     _next_smooth,
     _normal_tail,
+    block_size,
     circulant_weights,
 )
 from excursions.streams import generator, replicates, substream_seed
@@ -90,7 +93,7 @@ def test_next_smooth_matches_brute_force():
 def test_embedding_pads_a_prime_extent_to_a_smooth_length():
     # 2857 is prime: the padded row reaches lag 2880 = 2**6 * 3**2 * 5, and the
     # first n points stay exact
-    weights, fro_error, embed_factor = circulant_weights(make_kernel(1.0).value, 2858)
+    weights, fro_error, embed_factor, _ = circulant_weights(make_kernel(1.0).value, 2858)
     assert (weights.size, embed_factor) == (2 * 2880, 1)
     assert fro_error <= FACTOR_TOL
 
@@ -248,6 +251,50 @@ def test_concurrent_draws_keep_their_own_block_buffers():
     assert len(results) == 80
     for got in results:
         np.testing.assert_array_equal(got, expected)
+
+
+def _in_a_fresh_thread(fn):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
+def test_a_band_draw_ignores_what_its_buffer_held():
+    # c2 at u = 6 draws 45 modes on the (4, 8000) per-thread buffer that the
+    # alpha = 1, u = 10 heavy-tail plan fills in full; the modes outside the
+    # band must be zeros by construction, or an earlier draw's nan survives
+    # its zero weight
+    smooth = build_sampler(make_kernel(2.0), c2_grid(6.0))
+    heavy = build_sampler(make_kernel(1.0), heavy_tail_grid(make_kernel(1.0), 10.0))
+    m = smooth.spectral_weights.size
+    assert m == heavy.spectral_weights.size == 8000
+    assert block_size(smooth.spectral_weights) == 4
+    assert 2 * smooth.band + 1 < m <= 2 * heavy.band + 1
+    seeds = [substream_seed(5, 0, k) for k in range(4)]
+    expected = _in_a_fresh_thread(partial(sample_unconditional, smooth, seeds))
+
+    def after_other_draws():
+        sample_unconditional(heavy, seeds)
+        after_heavy = sample_unconditional(smooth, seeds)
+        _block_buffers(m, 4)[0].fill(np.nan)
+        return after_heavy, sample_unconditional(smooth, seeds)
+
+    for got in _in_a_fresh_thread(after_other_draws):
+        np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.floats(min_value=0.005, max_value=0.8, allow_nan=False),
+    arms=st.integers(min_value=1, max_value=400),
+    r0=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+)
+def test_smooth_embeddings_keep_no_weight_outside_their_band(step, arms, r0):
+    plan = build_sampler(make_kernel(2.0, r0), Grid(step, step * arms))
+    weights = plan.spectral_weights
+    k = np.arange(weights.size)
+    freq = np.minimum(k, weights.size - k)
+    assert freq[weights > 0].max() == plan.band
+    assert plan.fro_error <= FACTOR_TOL
 
 
 def test_truncated_normal_rejects_a_threshold_whose_square_overflows():

@@ -195,10 +195,14 @@ def test_simulated_lengths_are_a_prefix_of_longer_runs(n):
 
 
 def _reference_draw(weights, n, rng):
-    """The per-pair circulant draw: real normals, imaginary normals, one 1-D FFT."""
+    """The per-pair circulant draw: real normals, then imaginary normals, for
+    the modes up to the largest circular frequency of a nonzero weight, in
+    ascending index; zeros elsewhere; one 1-D FFT."""
     m = weights.size
-    z = np.empty(m, dtype=complex)
-    z.real, z.imag = rng.standard_normal(m), rng.standard_normal(m)
+    freq = np.minimum(np.arange(m), m - np.arange(m))
+    modes = np.flatnonzero(freq <= freq[weights > 0].max())
+    z = np.zeros(m, dtype=complex)
+    z.real[modes], z.imag[modes] = rng.standard_normal(modes.size), rng.standard_normal(modes.size)
     z *= weights
     y = np.fft.fft(z)[:n]
     return np.stack((y.real, y.imag))
@@ -406,7 +410,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 6
+    assert json.loads(payload)["schema_version"] == 7
     assert "delta_u" not in json.loads(payload)  # None fields are dropped
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
@@ -470,6 +474,36 @@ def test_report_blocks_on_an_uncensored_run(alpha, u):
     assert report.config["versions"]["numpy"] == np.__version__
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["censoring"] == report.censoring and payload["synthesis"] == report.synthesis
+
+
+def _plan_synthesis(plan):
+    return verify._synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band)
+
+
+@pytest.mark.parametrize("u", [6.0, 10.0, 14.0])
+def test_smooth_paths_draw_only_the_band_of_modes_that_carry_variance(u):
+    # exp(-t**2) has a spectral density falling like exp(-w**2 / 4): a few
+    # dozen of the circulant's modes keep a weight, and the clamped spectrum
+    # still delivers the grid covariance
+    block = _plan_synthesis(build_sampler(make_kernel(2.0), c2_grid(u)))
+    assert block["fro_error"] <= FACTOR_TOL
+    assert block["modes"] % 2 == 1 and block["modes"] < block["fft_len"]
+    if u == 6.0:
+        assert (block["modes"], block["fft_len"]) == (45, 8000)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5])
+def test_heavy_tail_embeddings_draw_every_mode(alpha):
+    # every heavy-tail path plan, every fGn plan on the limit grid and the
+    # diagnostics plan keep all their modes, so their streams are unchanged
+    k = make_kernel(alpha)
+    blocks = [verify._synthesis(*_fgn_weights(alpha, limit_grid()))]
+    blocks += [_plan_synthesis(build_sampler(k, heavy_tail_grid(k, u))) for u in (6.0, 10.0)]
+    if alpha == 0.75:
+        blocks.append(_plan_synthesis(build_sampler(k, heavy_tail_grid(k, 10.0, 0.01, 50.0))))
+        assert blocks[-1]["fft_len"] == 20000
+    for block in blocks:
+        assert block["modes"] == block["fft_len"]
 
 
 def test_default_heavy_tail_window_covers_the_longest_reach():
