@@ -5,9 +5,10 @@ The regime follows from the kernel exponent: verify-c2 and limit-cdf have the
 one smooth exponent alpha = 2 and take no --alpha flag; verify-ht and
 diagnostics need --alpha < 2; sample-paths takes either.
 
-Every command runs on one thread; replicate i of a run is half i % 2 of the
-path pair drawn from substream i // 2 of its seed, drawn in blocks of
-consecutive substreams (see verify).
+Replicate i of a run is half i % 2 of the path pair drawn from substream
+i // 2 of its seed, drawn in blocks of consecutive substreams on a few worker
+threads, one per usable CPU and at most 4; neither the block size nor the
+number of workers changes a number (see verify).
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
 including a non-finite number), 3 censor budget exceeded, 4 covariance

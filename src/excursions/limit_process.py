@@ -73,7 +73,10 @@ def limit_process_values(
     if not np.all(t_star > 0.0):
         raise DomainError(f"t_star must be positive, got {t_star!r}")
     t = grid.times()
-    return math.sqrt(2.0 * c) * b + (r0 * t_star)[..., None] - (c / r0) * np.abs(t) ** alpha
+    values = math.sqrt(2.0 * c) * b  # then in place: one block-sized array, not three
+    values += (r0 * t_star)[..., None]
+    values -= (c / r0) * np.abs(t) ** alpha
+    return values
 
 
 def _draw_intervals(alpha: float, c: float, r0: float, grid: Grid, seed) -> np.ndarray:

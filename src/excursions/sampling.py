@@ -9,8 +9,9 @@ to zero, and normals are drawn only for the band of circular frequencies
 |k| <= K that keeps a nonzero weight: the exp(-t**2) kernel keeps a few dozen
 of its thousands of modes, the default heavy-tail embeddings keep them all.
 Samplers take a block of consecutive substream seeds (one seed is a block of
-one) and run one FFT along the rows of a reused buffer for the whole block;
-each substream keeps its own generator, so the block size changes no number.
+one) and run batched FFTs in place along the rows of a reused per-thread
+buffer; each substream keeps its own generator, so neither the block size nor
+the thread that draws a block changes a number.
 The same engine draws fractional Gaussian noise for the heavy-tail limit
 process.  A block is a (2 * substreams, grid.n) array, one path per row,
 a substream's pair on consecutive rows, with t = 0 at grid.origin_index.
@@ -53,9 +54,16 @@ MAX_EMBED_SIZE = 2**23
 EIGENVALUE_TOL = 1e-12
 # Relative Frobenius error any accepted embedding must meet.
 FACTOR_TOL = 1e-8
-# Bytes of complex buffer one block of substreams fills before its one FFT; the
-# substreams per block follow from the circulant length (block_size).
+# Substreams per block: as many as fill this many bytes of complex circulant
+# rows (block_size), so a block's fixed costs, its crossing scan and its hand-off
+# to a worker thread, are shared by 4 path pairs on an 8000-point circulant.
 _BLOCK_BYTES = 2**19
+# Bytes of complex rows a thread transforms at once, in place in its own reused
+# buffer: one 8000-point row, two 4000-point ones.  Four workers then hold
+# about 2 MiB of buffers and paths, and numpy's FFT scratch stays small enough
+# that glibc serves it from the heap instead of mapping and unmapping it per
+# call (a verify-c2 run takes about 1k minor page faults instead of 17k).
+_FFT_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -186,16 +194,20 @@ def band_split(size: int, band: int) -> tuple[int, int]:
 
 
 _scratch = threading.local()
+# numpy 2 transforms the block buffer in place; older numpy allocates the result.
+_FFT_IN_PLACE = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
-def _block_buffers(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The complex buffer a block's FFT reads, and a row of normals; allocated
-    once per lane and thread and refilled by every block, so no draw faults in
-    new pages.  No call reads a row it has not written first, so none sees
-    another's draws."""
+def _block_buffers(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complex rows the FFT transforms in place, as many as fill
+    _FFT_BYTES, and for each row ``count`` real then ``count`` imaginary
+    normals; allocated once per lane and thread and refilled by every block,
+    so no draw faults in new pages.  No call reads a row it has not written
+    first, so none sees another's draws or transforms."""
+    rows = max(1, _FFT_BYTES // (16 * m))
     buffers = getattr(_scratch, "buffers", None)
-    if buffers is None or buffers[0].shape != (rows, m):
-        buffers = _scratch.buffers = (np.empty((rows, m), dtype=complex), np.empty(m))
+    if buffers is None or buffers[0].shape != (rows, m) or buffers[1].shape != (rows, 2, count):
+        buffers = _scratch.buffers = (np.empty((rows, m), dtype=complex), np.empty((rows, 2, count)))
     return buffers
 
 
@@ -204,22 +216,27 @@ def circulant_draw(weights: np.ndarray, band: int, n: int, rngs: list[np.random.
     per generator, as a (2 * len(rngs), n) array: the real and imaginary parts
     of the FFT of one row of complex normals per generator (Wood & Chan 1994;
     Dietrich & Newsam 1997).  Each generator draws its real normals for the
-    modes of the band (band_split) in ascending order, then its imaginary ones;
-    every other mode is zero.  One FFT along the rows serves the whole block."""
+    modes of the band (band_split) in ascending order, then its imaginary ones,
+    in one call; every other mode is zero.  One FFT along the rows serves each
+    buffer full of generators, and each step is one call for all its rows, so
+    worker threads contend for the GIL as seldom as the draws allow."""
     m = weights.size
     head, tail = band_split(m, band)
-    z, normals = _block_buffers(m, max(len(rngs), block_size(weights)))
-    z, normals = z[: len(rngs)], normals[: head + tail]
-    z[:, head : m - tail] = 0.0  # the buffer holds the last block's draws
-    for row, rng in zip(z, rngs):
-        for part in (row.real, row.imag):  # real part first
-            rng.standard_normal(out=normals)
-            part[:head], part[m - tail :] = normals[:head], normals[head:]
-    for modes in (slice(0, head), slice(m - tail, m)):
-        z[:, modes] *= weights[modes]
-    y = np.fft.fft(z, axis=1)[:, :n]
+    buffer, normals = _block_buffers(m, head + tail)
     pairs = np.empty((2 * len(rngs), n))
-    pairs[0::2], pairs[1::2] = y.real, y.imag
+    for start in range(0, len(rngs), len(buffer)):
+        chunk = rngs[start : start + len(buffer)]
+        z, drawn = buffer[: len(chunk)], normals[: len(chunk)]
+        for row, rng in zip(drawn, chunk):
+            rng.standard_normal(out=row)
+        z[:, head : m - tail] = 0.0  # the buffer holds the last transform
+        z.real[:, :head], z.imag[:, :head] = drawn[:, 0, :head], drawn[:, 1, :head]
+        z.real[:, m - tail :], z.imag[:, m - tail :] = drawn[:, 0, head:], drawn[:, 1, head:]
+        for modes in (slice(0, head), slice(m - tail, m)):
+            z[:, modes] *= weights[modes]
+        y = (np.fft.fft(z, axis=1, out=z) if _FFT_IN_PLACE else np.fft.fft(z, axis=1))[:, :n]
+        out = pairs[2 * start : 2 * (start + len(chunk))]
+        out[0::2], out[1::2] = y.real, y.imag
     return pairs
 
 

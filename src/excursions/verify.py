@@ -1,11 +1,13 @@
 """Empirical-distribution machinery and the Monte Carlo verification driver.
 
-One master seed drives a run, on one thread.  Every substream seed yields a
-pair of independent draws: replicate i of a lane is half i % 2 of the pure
-substream (master, lane, i // 2), so a run of n replicates is the first n
-replicates of any longer run, and reports are bit-identical across repeats.
-Replicates are drawn and scanned in blocks of consecutive substreams
-(sampling.block_size); the block size changes no number.
+One master seed drives a run.  Every substream seed yields a pair of
+independent draws: replicate i of a lane is half i % 2 of the pure substream
+(master, lane, i // 2), so a run of n replicates is the first n replicates of
+any longer run, and reports are bit-identical across repeats.  Replicates are
+drawn and reduced (scanned, or cut to the panel's columns) in blocks of
+consecutive substreams (sampling.block_size) on streams.replicates' worker
+threads, one per usable CPU and at most 4; neither the block size nor the
+number of workers changes a number.
 """
 
 from __future__ import annotations
@@ -165,8 +167,12 @@ def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane:
     """Interval rows (tau_minus, tau_plus, length) of n exactly conditioned
     paths on the plan's grid, drawn and scanned one block at a time."""
     draw = partial(sample_conditional_exceedance, plan, u)
-    blocks = replicates(draw, n, master_seed, lane, block_size(plan.spectral_weights))
-    return np.concatenate([crossing_bounds(plan.grid, paths, u) for paths in blocks])
+
+    def scan(seeds: list[int]) -> np.ndarray:
+        return crossing_bounds(plan.grid, draw(seeds), u)
+
+    size = block_size(plan.spectral_weights)
+    return np.concatenate(list(replicates(scan, n, master_seed, lane, size)))
 
 
 def _limit_intervals(alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int) -> np.ndarray:
@@ -260,8 +266,13 @@ def covariance_panel(
     cols = [indices[s] for s in panel_times]
     profile = plan.profile[cols]
     draw = partial(sample_conditional_exceedance, plan, u)
-    blocks = replicates(draw, n, master_seed, PATH_LANE, block_size(plan.spectral_weights))
-    rows = np.concatenate([u * (paths[:, cols] - profile * paths[:, origin, None]) for paths in blocks])
+
+    def residuals(seeds: list[int]) -> np.ndarray:
+        paths = draw(seeds)
+        return u * (paths[:, cols] - profile * paths[:, origin, None])
+
+    size = block_size(plan.spectral_weights)
+    rows = np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, size)))
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha

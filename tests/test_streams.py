@@ -1,0 +1,150 @@
+"""Random streams and the block pool: generator keys, empty runs, and outputs
+that do not depend on how many worker threads draw the blocks."""
+
+import json
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from excursions import (
+    DomainError,
+    Grid,
+    build_sampler,
+    c2_grid,
+    covariance_panel,
+    draw_limit_lengths,
+    heavy_tail_grid,
+    limit_grid,
+    make_kernel,
+    median_excursion_length,
+    run_verification,
+    simulate_excursion_lengths,
+)
+from excursions import streams, verify
+from excursions.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from excursions.streams import generator, replicates
+
+
+@pytest.mark.parametrize("key", [0, 1729, 2**64 - 1, 2**64 + 12345])
+def test_generator_draws_the_stream_of_its_philox_key(key):
+    # keyed without drawing OS entropy, yet the same stream as Philox(key=key)
+    expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(1000)
+    np.testing.assert_array_equal(generator(key).standard_normal(1000), expected)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_an_empty_run_is_a_domain_error_naming_n(n):
+    k, g = make_kernel(2.0), c2_grid(6.0)
+    runs = [
+        lambda: simulate_excursion_lengths(k, 6.0, g, n, 1),
+        lambda: median_excursion_length(k, 6.0, g, n, 1),
+        lambda: draw_limit_lengths(1.0, 1.0, limit_grid(0.02, 6.0), n, 1),
+        lambda: list(replicates(lambda seeds: np.zeros((2 * len(seeds), 1)), n, 1, 0, 4)),
+    ]
+    for run in runs:
+        with pytest.raises(DomainError, match=f"n = {n}"):
+            run()
+
+
+def test_worker_count_is_the_usable_cpus_capped(monkeypatch):
+    for cpus, workers in ((1, 1), (3, 3), (64, streams._MAX_WORKERS), (None, 1)):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: cpus, raising=False)
+        assert streams._worker_count() == workers
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert streams._worker_count() == 1
+
+
+def test_blocks_come_back_in_order_with_the_blocks_in_flight_bounded(monkeypatch):
+    monkeypatch.setattr(streams, "_worker_count", lambda: 3)
+    lock, started, running, most, threads = threading.Lock(), [0], [0], [0], set()
+
+    def draw_block(seeds):
+        with lock:
+            started[0] += 1
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            threads.add(threading.get_ident())
+        time.sleep(0.02)
+        with lock:
+            running[0] -= 1
+        return np.array([[s] for s in seeds for _ in range(2)], dtype=np.uint64)
+
+    before = threading.active_count()
+    blocks = []
+    for block in replicates(draw_block, 41, 5, 0, 2):
+        blocks.append(block)
+        assert started[0] <= len(blocks) + 5  # this block, and at most 2 * 3 - 1 more
+    expected = [streams.substream_seed(5, 0, k) for k in range(21) for _ in range(2)][:41]
+    np.testing.assert_array_equal(np.concatenate(blocks)[:, 0], expected)
+    assert most[0] == 3 and len(threads) == 3
+    assert threading.get_ident() not in threads
+    assert threading.active_count() == before
+
+
+def test_workers_switching_every_microsecond_draw_the_same_numbers(monkeypatch):
+    # more workers than cores, and the interpreter switching threads as often
+    # as it can: each block must still fill its own thread's buffers
+    plan = build_sampler(make_kernel(1.0), Grid(0.01, 20.0))
+    limit = limit_grid(0.02, 6.0)
+
+    def lanes():
+        return (
+            verify._path_intervals(plan, 10.0, 101, 7, verify.PATH_LANE),
+            verify._limit_intervals(1.0, 1.0, limit, 101, 7, verify.LIMIT_LANE),
+        )
+
+    monkeypatch.setattr(streams, "_worker_count", lambda: 1)
+    expected = lanes()
+    monkeypatch.setattr(streams, "_worker_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = lanes()
+    finally:
+        sys.setswitchinterval(interval)
+    for rows, reference in zip(got, expected):
+        np.testing.assert_array_equal(rows, reference)
+
+
+def _outputs(tmp_path, n):
+    """Every output whose numbers the pool must not move, JSON-ready, with the
+    run times removed."""
+    reports = []
+    for alpha, u in ((2.0, 6.0), (1.0, 10.0), (0.75, 10.0)):
+        k = make_kernel(alpha)
+        grid = c2_grid(u) if alpha == 2.0 else heavy_tail_grid(k, u)
+        reports.append(run_verification(k, u, grid, n, 1729))
+    k = make_kernel(1.0)  # a 2.5 delta_u window censors some replicates of each lane
+    window = heavy_tail_grid(k, 10.0, 0.02, 2.5)
+    reports.append(run_verification(k, 10.0, window, n, 13, limit=limit_grid(0.02, 2.5)))
+    out = [{key: v for key, v in r.to_dict().items() if key != "runtime_seconds"} for r in reports]
+    out.append(covariance_panel(k, 10.0, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)], n, 5150))
+    csv_path = tmp_path / f"paths-{n}.csv"
+    assert main(["sample-paths", "--n", str(n // 10 + n % 2), "--out", str(csv_path)]) == EXIT_OK
+    out.append(csv_path.read_text())
+    return json.dumps(out, allow_nan=True)
+
+
+@pytest.mark.parametrize("n", [201, 200])
+def test_outputs_are_the_same_on_any_number_of_workers(monkeypatch, tmp_path, n):
+    monkeypatch.setattr(verify, "CENSOR_BUDGET", 1.0)
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(streams, "_worker_count", lambda w=workers: w)
+        outputs[workers] = _outputs(tmp_path, n)
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_a_failing_block_stops_the_run_and_its_threads(monkeypatch, tmp_path):
+    # u / sigma = 1e160 cannot be sampled above, so every block raises on a worker
+    monkeypatch.setattr(streams, "_worker_count", lambda: 3)
+    before = threading.active_count()
+    out = tmp_path / "big.csv"
+    assert main(["sample-paths", "--u", "1e160", "--n", "40", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    assert threading.active_count() == before
