@@ -6,9 +6,11 @@ one smooth exponent alpha = 2 and take no --alpha flag; verify-ht and
 diagnostics need --alpha < 2; sample-paths takes either.
 
 Replicate i of a run is half i % 2 of the path pair drawn from substream
-i // 2 of its seed, drawn in blocks of consecutive substreams on a few worker
-threads, one per usable CPU and at most 4; neither the block size nor the
-number of workers changes a number (see verify).
+i // 2 of its seed, drawn in blocks of consecutive substreams: by a direct sum
+over the spectral band on the calling thread in the smooth regime, by FFT on a
+few worker threads (one per usable CPU, at most 4) in the heavy-tail one.
+Neither the block size nor the number of workers changes a number (see
+verify).
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
 including a non-finite number), 3 censor budget exceeded, 4 covariance
@@ -37,8 +39,7 @@ from .errors import (
 )
 from .kernels import make_kernel, pitman_ratio, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf
-from .sampling import block_size, build_sampler, sample_conditional_exceedance
-from .streams import replicates
+from .sampling import build_sampler, plan_replicates, sample_conditional_exceedance
 from .verify import (
     DEFAULT_STEP_FACTOR,
     PATH_LANE,
@@ -181,7 +182,7 @@ def cmd_sample_paths(args) -> int:
     plan = build_sampler(kernel, _path_grid(args, kernel))
     times = plan.grid.times()
     draw = partial(sample_conditional_exceedance, plan, args.u)
-    blocks = replicates(draw, args.n, args.seed, PATH_LANE, block_size(plan.spectral_weights))
+    blocks = plan_replicates(plan, draw, args.n, args.seed, PATH_LANE)
     rows = (  # drawn as they are written: one block of paths in memory at a time
         (float(t), float(v), i)
         for i, path in enumerate(chain.from_iterable(blocks))

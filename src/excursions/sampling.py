@@ -8,11 +8,19 @@ pair.  Eigenvalues at or below EIGENVALUE_TOL times the largest are clamped
 to zero, and normals are drawn only for the band of circular frequencies
 |k| <= K that keeps a nonzero weight: the exp(-t**2) kernel keeps a few dozen
 of its thousands of modes, the default heavy-tail embeddings keep them all.
+A plan evaluates the same draw, from the same normals, in one of two ways.
+The FFT transforms the whole circle.  The direct sum folds each mode M - k
+onto k and multiplies the band's coefficients into a cos/sin basis of the
+grid, 2 (K + 1) rows of n points.  build_sampler picks the direct sum when
+the band leaves part of the circle undrawn and the product is cheap against
+the FFT, as on every default smooth-regime grid; heavy-tail spectra keep
+every mode, so their plans transform.
 Samplers take a block of consecutive substream seeds (one seed is a block of
 one) and run batched FFTs in place along the rows of a reused per-thread
-buffer; each substream keeps its own generator, so neither the block size nor
-the thread that draws a block changes a number.
-The same engine draws fractional Gaussian noise for the heavy-tail limit
+buffer, or direct-sum products of a fixed shape; each substream keeps its own
+generator, so neither the block size nor the thread that draws a block
+changes a number.
+The same FFT draws fractional Gaussian noise for the heavy-tail limit
 process.  A block is a (2 * substreams, grid.n) array, one path per row,
 a substream's pair on consecutive rows, with t = 0 at grid.origin_index.
 Conditioning on an origin exceedance replaces the origin coordinate by an
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, SynthesisError
 from .kernels import Kernel
-from .streams import generators
+from .streams import generators, replicates
 
 __all__ = [
     "Grid",
@@ -62,8 +70,22 @@ _BLOCK_BYTES = 2**19
 # buffer: one 8000-point row, two 4000-point ones.  Four workers then hold
 # about 2 MiB of buffers and paths, and numpy's FFT scratch stays small enough
 # that glibc serves it from the heap instead of mapping and unmapping it per
-# call (a verify-c2 run takes about 1k minor page faults instead of 17k).
+# call, on the 8000-point heavy-tail path plans and the 4000-point limit one.
 _FFT_BYTES = 2**17
+# The direct sum replaces the FFT when its 2 (K + 1) * n multiply-adds per row
+# are at most this many times M * ceil(log2 M) for an M-point circulant.  On
+# one thread the two cost the same per pair at a ratio of 5 to 7 for M from
+# 4000 to 20000 (3.5 at M = 800); the FFT's worker pool wins back about 1.5x.
+_DIRECT_COST = 4
+# Rows of every direct-sum product, two per substream; a short last chunk is
+# padded with zero rows.  OpenBLAS may round a row differently in products of
+# different heights, so a fixed height keeps a run the prefix of a longer one.
+_DIRECT_ROWS = 8
+# Multiply-adds of the largest direct-sum product: OpenBLAS computes one this
+# small on the calling thread, while a larger one may wake BLAS threads that
+# only contend for the CPU.  The basis is cut into column slices to keep each
+# product within it.
+_DIRECT_MACS = 2**18
 
 
 @dataclass(frozen=True)
@@ -110,6 +132,12 @@ class SamplerPlan:
     spectral_weights: np.ndarray  # sqrt(lam / M), length M
     band: int  # largest circular frequency with a nonzero weight
     profile: np.ndarray  # regression profile R(t)/R(0) on the grid
+    basis: np.ndarray | None  # direct-sum basis (band_basis), None when the plan draws by FFT
+
+    @property
+    def engine(self) -> str:
+        """How the plan evaluates its draws: "direct" or "fft"."""
+        return "fft" if self.basis is None else "direct"
 
 
 def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) -> float:
@@ -117,8 +145,12 @@ def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) 
     their first rows, computed in O(n) via lag multiplicities."""
     w = (n - np.arange(n)).astype(float)
     w[1:] *= 2.0  # each off-diagonal lag appears on both sides
-    da = row_target[:n]
-    db = row_realized[:n]
+    # both rows scaled by a power of two that brings row_target[0] into [1, 2):
+    # exact, and leaves a unit variance as it is, yet the squares neither
+    # underflow nor overflow at any variance
+    scale = 1 - math.frexp(float(row_target[0]))[1]
+    da = np.ldexp(row_target[:n], scale)
+    db = np.ldexp(row_realized[:n], scale)
     num = math.sqrt(float(np.sum(w * (da - db) ** 2)))
     den = math.sqrt(float(np.sum(w * da**2)))
     return num / den
@@ -240,20 +272,105 @@ def circulant_draw(weights: np.ndarray, band: int, n: int, rngs: list[np.random.
     return pairs
 
 
+def band_basis(m: int, band: int, n: int) -> np.ndarray:
+    """The direct sum's basis for the band of an m-point circulant on n grid
+    points: rows cos(2 pi k j / m) for k = 0..band, then sin(2 pi k j / m),
+    j < n.  Each row is looked up in one m-point table of twiddles at
+    k j mod m, so no temporary is larger than a row."""
+    angle = (2.0 * math.pi / m) * np.arange(m)
+    cos, sin = np.cos(angle), np.sin(angle)
+    basis = np.empty((2 * (band + 1), n))
+    j = np.arange(n)
+    index = np.zeros(n, dtype=np.intp)  # k j mod m, row by row
+    for k in range(band + 1):
+        np.take(cos, index, out=basis[k])
+        np.take(sin, index, out=basis[band + 1 + k])
+        index += j
+        np.remainder(index, m, out=index)
+    return basis
+
+
+def _takes_direct_sum(m: int, band: int, n: int) -> bool:
+    """Whether the direct sum over a band that leaves part of the circle
+    undrawn costs at most _DIRECT_COST times an m-point FFT."""
+    return 2 * band + 1 < m and 2 * (band + 1) * n <= _DIRECT_COST * m * math.ceil(math.log2(m))
+
+
+def direct_draw(weights: np.ndarray, band: int, basis: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """circulant_draw evaluated on the grid from the same normals: each
+    generator draws what it draws there, each normal is weighted by its own
+    mode's weight, modes M - k are folded onto k, and the real and imaginary
+    parts of a pair are the rows of one coefficient matrix times ``basis``
+    (band_basis).  Every product has _DIRECT_ROWS rows, short chunks padded
+    with zeros, and at most _DIRECT_MACS multiply-adds, so a row comes out
+    the same in any block and OpenBLAS runs on the calling thread."""
+    m = weights.size
+    head, tail = band_split(m, band)
+    drawn_weights = np.concatenate((weights[:head], weights[m - tail :]))
+    terms, n = basis.shape
+    per_product = _DIRECT_ROWS // 2
+    width = max(1, _DIRECT_MACS // (_DIRECT_ROWS * terms))
+    pairs = np.empty((-(-len(rngs) // per_product) * _DIRECT_ROWS, n))
+    drawn = np.empty((per_product, 2, head + tail))
+    coef = np.empty((_DIRECT_ROWS, terms))
+    for start in range(0, len(rngs), per_product):
+        chunk = rngs[start : start + per_product]
+        for row, rng in zip(drawn, chunk):
+            rng.standard_normal(out=row)
+        drawn[len(chunk) :] = 0.0
+        drawn *= drawn_weights
+        a, b = drawn[:, 0], drawn[:, 1]  # real and imaginary parts, modes ascending
+        a_fold, b_fold = a[:, : head - 1 : -1], b[:, : head - 1 : -1]  # modes M - k, k = 1..tail
+        # y_j = sum_k z_k exp(-2 pi i k j / M) with z_{M-k} folded onto k
+        coef[0::2, :head], coef[0::2, head:] = a[:, :head], b[:, :head]  # real rows
+        coef[1::2, :head], coef[1::2, head:] = b[:, :head], -a[:, :head]  # imaginary rows
+        coef[0::2, 1:head] += a_fold
+        coef[0::2, head + 1 :] -= b_fold
+        coef[1::2, 1:head] += b_fold
+        coef[1::2, head + 1 :] += a_fold
+        rows = pairs[2 * start : 2 * start + _DIRECT_ROWS]
+        for cols in range(0, n, width):
+            np.matmul(coef, basis[:, cols : cols + width], out=rows[:, cols : cols + width])
+    return pairs[: 2 * len(rngs)]
+
+
+def _draw(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The plan's unconditional pairs, by its engine."""
+    if plan.basis is None:
+        return circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, rngs)
+    return direct_draw(plan.spectral_weights, plan.band, plan.basis, rngs)
+
+
 def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
-    """Embed the grid covariance once, for reuse across replicates."""
+    """Embed the grid covariance once, for reuse across replicates, and build
+    the direct sum's basis when the plan takes it (_takes_direct_sum)."""
     weights, gap, embed_factor, band = circulant_weights(
         lambda lags: kernel.value(lags * grid.step), grid.n
     )
     profile = kernel.value(grid.times()) / kernel.r0
-    return SamplerPlan(kernel, grid, gap, embed_factor, weights, band, profile)
+    basis = band_basis(weights.size, band, grid.n) if _takes_direct_sum(weights.size, band, grid.n) else None
+    return SamplerPlan(kernel, grid, gap, embed_factor, weights, band, profile, basis)
+
+
+def plan_replicates(
+    plan: SamplerPlan, draw_block: Callable[[list[int]], np.ndarray], n: int, master_seed: int, lane: int
+):
+    """streams.replicates of draws on ``plan``, in blocks of block_size of its
+    weights.  FFT blocks go to the worker pool.  Direct-sum blocks, rounded up
+    to whole products, stay on the calling thread, since a direct block holds
+    the GIL for most of its time."""
+    size = block_size(plan.spectral_weights)
+    if plan.basis is None:
+        return replicates(draw_block, n, master_seed, lane, size)
+    per_product = _DIRECT_ROWS // 2
+    return replicates(draw_block, n, master_seed, lane, -(-size // per_product) * per_product, pooled=False)
 
 
 def sample_unconditional(plan: SamplerPlan, seed) -> np.ndarray:
     """Two independent exact draws of the stationary path on the plan's grid
     per substream of ``seed`` (see streams.generators), as rows of a
     (2 * substreams, grid.n) array."""
-    return circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, generators(seed))
+    return _draw(plan, generators(seed))
 
 
 # Above this standardized threshold the inverse-CDF loses nothing to switch to
@@ -307,7 +424,7 @@ def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed) -> np.ndarr
     replicate, never by rejection.
     """
     rngs = generators(seed)
-    paths = circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, rngs)
+    paths = _draw(plan, rngs)
     sigma = math.sqrt(plan.kernel.r0)
     xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for rng in rngs for _ in range(2)])
     origin = plan.grid.origin_index

@@ -2,7 +2,9 @@
 
 Replicates come in blocks of consecutive substreams, each substream with its
 own generator, so neither the block size nor the number of worker threads that
-draw the blocks changes a number, only speed and memory.
+draw the blocks changes a number, only speed and memory.  Blocks drawn by FFT
+go to a small worker pool; direct-sum blocks (see sampling) stay on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -83,7 +85,13 @@ def _worker_count() -> int:
 
 
 def replicates(
-    draw_block: Callable[[list[int]], np.ndarray], n: int, master_seed: int, lane: int, size: int
+    draw_block: Callable[[list[int]], np.ndarray],
+    n: int,
+    master_seed: int,
+    lane: int,
+    size: int,
+    *,
+    pooled: bool = True,
 ):
     """The first n replicates of a lane, in blocks of ``size`` consecutive substreams.
 
@@ -92,12 +100,14 @@ def replicates(
     i // 2)'s pair, so each yielded block holds the rows of its substreams, and
     an odd n drops the last second half.
 
-    Blocks are drawn on up to _worker_count() threads at once and yielded in
-    block order.  At most twice that many are in flight, drawn or waiting to
-    be yielded, so a worker seldom waits for the consumer and memory stays
-    flat in n; the threads end with the run.  ``draw_block`` must be safe to
-    call from several threads; each call keeps its own generators, so every
-    number is the same on any number of workers.
+    With ``pooled`` (the default), blocks are drawn on up to _worker_count()
+    threads at once and yielded in block order.  At most twice that many are
+    in flight, drawn or waiting to be yielded, so a worker seldom waits for
+    the consumer and memory stays flat in n; the threads end with the run.
+    ``draw_block`` must then be safe to call from several threads; each call
+    keeps its own generators, so every number is the same on any number of
+    workers.  Without ``pooled``, blocks are drawn one at a time on the
+    calling thread, for draws that hold the GIL for most of a block.
     """
     if n < 1:
         raise DomainError(f"a run needs n >= 1 replicates, got n = {n}")
@@ -108,7 +118,7 @@ def replicates(
         return draw_block(seeds)[: n - 2 * start]
 
     starts = range(0, pairs, size)
-    workers = min(_worker_count(), len(starts))
+    workers = min(_worker_count(), len(starts)) if pooled else 1
     if workers == 1:
         yield from map(block, starts)
         return

@@ -5,9 +5,11 @@ independent draws: replicate i of a lane is half i % 2 of the pure substream
 (master, lane, i // 2), so a run of n replicates is the first n replicates of
 any longer run, and reports are bit-identical across repeats.  Replicates are
 drawn and reduced (scanned, or cut to the panel's columns) in blocks of
-consecutive substreams (sampling.block_size) on streams.replicates' worker
-threads, one per usable CPU and at most 4; neither the block size nor the
-number of workers changes a number.
+consecutive substreams (sampling.plan_replicates).  Smooth-regime path lanes
+take the direct sum and draw their blocks on the calling thread; heavy-tail
+path lanes and every limit lane take the FFT and draw on streams.replicates'
+worker threads, one per usable CPU and at most 4.  Neither the block size nor
+the number of workers changes a number.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
 from .limit_process import _fgn_weights, sample_limit_length
-from .sampling import Grid, SamplerPlan, band_split, block_size, build_sampler, sample_conditional_exceedance
+from .sampling import (
+    Grid,
+    SamplerPlan,
+    band_split,
+    block_size,
+    build_sampler,
+    plan_replicates,
+    sample_conditional_exceedance,
+)
 from .streams import replicates, substream_seed
 
 __all__ = [
@@ -68,7 +78,7 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +181,7 @@ def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane:
     def scan(seeds: list[int]) -> np.ndarray:
         return crossing_bounds(plan.grid, draw(seeds), u)
 
-    size = block_size(plan.spectral_weights)
-    return np.concatenate(list(replicates(scan, n, master_seed, lane, size)))
+    return np.concatenate(list(plan_replicates(plan, scan, n, master_seed, lane)))
 
 
 def _limit_intervals(alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int) -> np.ndarray:
@@ -271,8 +280,7 @@ def covariance_panel(
         paths = draw(seeds)
         return u * (paths[:, cols] - profile * paths[:, origin, None])
 
-    size = block_size(plan.spectral_weights)
-    rows = np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, size)))
+    rows = np.concatenate(list(plan_replicates(plan, residuals, n, master_seed, PATH_LANE)))
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha
@@ -383,15 +391,17 @@ def _censoring(intervals: np.ndarray, grid: Grid) -> dict:
     }
 
 
-def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int, band: int) -> dict:
+def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int, band: int, engine: str = "fft") -> dict:
     """Quality and size of one lane's circulant embedding; fft_len is the
     circulant length, which padding to a 5-smooth size decouples from
-    embed_factor, and modes the complex modes drawn per pair."""
+    embed_factor, modes the complex modes drawn per pair, and engine how the
+    lane evaluates its draws: "direct" or "fft" (every limit lane)."""
     return {
         "embed_factor": embed_factor,
         "fro_error": fro_error,
         "fft_len": int(weights.size),
         "modes": sum(band_split(weights.size, band)),
+        "engine": engine,
     }
 
 
@@ -459,7 +469,9 @@ def run_verification(
     lengths, n_cens = _drop_censored(intervals[:, 2])
     _check_censor_budget(n_cens, n, "path simulation")
     censoring = {"path": _censoring(intervals, grid)}
-    synthesis = {"path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band)}
+    synthesis = {
+        "path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band, plan.engine)
+    }
 
     if regime == "C2":
         d_u = n_cens_limit = None

@@ -23,6 +23,7 @@ from excursions.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
+    EXIT_SYNTHESIS_ERROR,
     _fmt,
     _parse_range,
     build_parser,
@@ -130,7 +131,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 7
+    assert payload["schema_version"] == 8
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"] == {"grid_step_factor": 0.01, "window_factor": 20.0}
@@ -298,6 +299,16 @@ def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
     if "--u" in argv:  # a bad threshold is named as such
         assert "threshold u" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r0", ["1e-200", "1e200"])
+def test_extreme_variances_embed(tmp_path, r0):
+    # the squared covariance row once underflowed (a division by zero, exit 5)
+    # or overflowed (no embedding passed its check, exit 4); the scale-free
+    # check embeds either, and the run then ends on its threshold or window
+    out = tmp_path / "r.json"
+    code = main(["verify-c2", "--r0", r0, "--n", "100", "--out", str(out)])
+    assert code not in (EXIT_SYNTHESIS_ERROR, EXIT_INTERNAL_ERROR)
 
 
 def test_threshold_too_large_to_sample_exits_config_error(tmp_path):

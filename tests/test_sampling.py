@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -32,10 +32,10 @@ from excursions.sampling import (
     _block_buffers,
     _next_smooth,
     _normal_tail,
-    block_size,
+    circulant_draw,
     circulant_weights,
 )
-from excursions.streams import generator, replicates, substream_seed
+from excursions.streams import generator, generators, replicates, substream_seed
 
 
 @given(
@@ -259,15 +259,16 @@ def _in_a_fresh_thread(fn):
 
 
 def test_a_band_draw_ignores_what_its_buffer_held():
-    # c2 at u = 6 draws 45 modes on the (4, 8000) per-thread buffer that the
-    # alpha = 1, u = 10 heavy-tail plan fills in full; the modes outside the
-    # band must be zeros by construction, or an earlier draw's nan survives
-    # its zero weight
-    smooth = build_sampler(make_kernel(2.0), c2_grid(6.0))
-    heavy = build_sampler(make_kernel(1.0), heavy_tail_grid(make_kernel(1.0), 10.0))
+    # a wide window at a coarse step: the band leaves most of the 800-point
+    # circle undrawn, yet is too wide for the direct sum, so the plan draws on
+    # the per-thread buffer that a heavy-tail plan of the same length fills in
+    # full; the modes outside the band must be zeros by construction, or an
+    # earlier draw's nan survives its zero weight
+    smooth = build_sampler(make_kernel(2.0), c2_grid(6.0, step_factor=0.5, window_factor=100.0))
+    heavy = build_sampler(make_kernel(1.0), Grid(0.01, 2.0))
     m = smooth.spectral_weights.size
-    assert m == heavy.spectral_weights.size == 8000
-    assert block_size(smooth.spectral_weights) == 4
+    assert m == heavy.spectral_weights.size == 800
+    assert smooth.engine == heavy.engine == "fft"
     assert 2 * smooth.band + 1 < m <= 2 * heavy.band + 1
     seeds = [substream_seed(5, 0, k) for k in range(4)]
     expected = _in_a_fresh_thread(partial(sample_unconditional, smooth, seeds))
@@ -295,6 +296,40 @@ def test_smooth_embeddings_keep_no_weight_outside_their_band(step, arms, r0):
     freq = np.minimum(k, weights.size - k)
     assert freq[weights > 0].max() == plan.band
     assert plan.fro_error <= FACTOR_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.floats(min_value=0.005, max_value=0.8, allow_nan=False),
+    arms=st.integers(min_value=1, max_value=400),
+    r0=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+)
+@example(step=0.01, arms=400, r0=1.0)  # direct, on a 1600-point circle
+@example(step=0.05, arms=100, r0=3.0)  # direct, on a 400-point circle
+@example(step=0.02, arms=400, r0=0.5)  # FFT over a partial band
+def test_either_engine_draws_what_the_fft_draws(step, arms, r0):
+    # the direct sum evaluates the same circulant draw from the same normals,
+    # so whichever engine a plan picks, five substreams (a whole product and a
+    # padded one) match the FFT to rounding, and each row its own block of one
+    plan = build_sampler(make_kernel(2.0, r0), Grid(step, step * arms))
+    seeds = [substream_seed(7, 0, k) for k in range(5)]
+    got = sample_unconditional(plan, seeds)
+    want = circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, generators(seeds))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * math.sqrt(r0))
+    alone = np.vstack([sample_unconditional(plan, seed) for seed in seeds])
+    np.testing.assert_array_equal(got, alone)
+
+
+@pytest.mark.parametrize("r0", [1e-300, 1e-200, 1e200, 1e300])
+def test_embeddings_do_not_depend_on_the_variance(r0):
+    # the Frobenius check is relative, so neither underflow nor overflow of
+    # the squared covariance row may change which embedding a plan takes
+    heavy = make_kernel(1.0)
+    for alpha, grid in ((2.0, c2_grid(6.0)), (1.0, heavy_tail_grid(heavy, 10.0))):
+        unit = build_sampler(make_kernel(alpha), grid)
+        scaled = build_sampler(make_kernel(alpha, r0), grid)
+        assert (scaled.embed_factor, scaled.band, scaled.engine) == (unit.embed_factor, unit.band, unit.engine)
+        assert scaled.fro_error <= FACTOR_TOL
 
 
 def test_truncated_normal_rejects_a_threshold_whose_square_overflows():

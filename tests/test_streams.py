@@ -26,6 +26,7 @@ from excursions import (
 )
 from excursions import streams, verify
 from excursions.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from excursions.sampling import plan_replicates
 from excursions.streams import generator, replicates
 
 
@@ -111,11 +112,31 @@ def test_workers_switching_every_microsecond_draw_the_same_numbers(monkeypatch):
         np.testing.assert_array_equal(rows, reference)
 
 
+def test_direct_sum_blocks_stay_on_the_calling_thread(monkeypatch):
+    # a direct-sum block holds the GIL for most of its time, so only FFT
+    # blocks go to the pool
+    monkeypatch.setattr(streams, "_worker_count", lambda: 3)
+    threads = set()
+
+    def draw_block(seeds):
+        threads.add(threading.get_ident())
+        return np.zeros((2 * len(seeds), 1))
+
+    heavy = make_kernel(1.0)
+    for plan, pooled in (
+        (build_sampler(make_kernel(2.0), c2_grid(6.0)), False),
+        (build_sampler(heavy, heavy_tail_grid(heavy, 10.0)), True),
+    ):
+        threads.clear()
+        assert sum(len(b) for b in plan_replicates(plan, draw_block, 101, 1, 0)) == 101
+        assert (threading.get_ident() not in threads) == pooled, plan.engine
+
+
 def _outputs(tmp_path, n):
     """Every output whose numbers the pool must not move, JSON-ready, with the
     run times removed."""
     reports = []
-    for alpha, u in ((2.0, 6.0), (1.0, 10.0), (0.75, 10.0)):
+    for alpha, u in ((2.0, 6.0), (2.0, 10.0), (1.0, 10.0), (0.75, 10.0)):  # c2 at u = 10: a 16000-point embedding
         k = make_kernel(alpha)
         grid = c2_grid(u) if alpha == 2.0 else heavy_tail_grid(k, u)
         reports.append(run_verification(k, u, grid, n, 1729))

@@ -31,10 +31,10 @@ from excursions import (
     simulate_excursion_lengths,
     wasserstein1,
 )
-from excursions import build_sampler, sampling, verify
+from excursions import build_sampler, crossing_bounds, sample_conditional_exceedance, sampling, verify
 from excursions.limit_process import _fgn_weights
 from excursions.sampling import FACTOR_TOL, _next_smooth, _truncated_std_normal
-from excursions.streams import generator, substream_seed
+from excursions.streams import generator, replicates, substream_seed
 from excursions.verify import (
     CENSOR_BUDGET,
     LIMIT_LANE,
@@ -295,7 +295,20 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
         assert sampling.block_size(weights) == block
     rows = engine()
     assert rows.shape == (n, 3)
-    np.testing.assert_array_equal(rows, reference)
+    if lane == "path-alpha2-u6":
+        # the direct sum adds up the reference's normals on the grid instead of
+        # transforming them, so it matches the per-pair FFT to rounding only
+        # (9e-15 here); its runs round blocks up to whole products, so draw
+        # blocks of exactly this size too, which must give the same bits
+        np.testing.assert_allclose(rows, reference, rtol=0.0, atol=1e-12)
+        plan = build_sampler(make_kernel(2.0), grid)
+        assert plan.engine == "direct"
+        size = sampling.block_size(weights)
+        scan = lambda seeds: crossing_bounds(grid, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
+        exact = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, size, pooled=False)))
+        np.testing.assert_array_equal(rows, exact)
+    else:
+        np.testing.assert_array_equal(rows, reference)
     if window is not None:
         t = grid.times()
         assert (reference[:, 0] == t[0]).any() and (reference[:, 1] == t[-1]).any()
@@ -410,7 +423,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 7
+    assert json.loads(payload)["schema_version"] == 8
     assert "delta_u" not in json.loads(payload)  # None fields are dropped
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
@@ -470,6 +483,8 @@ def test_report_blocks_on_an_uncensored_run(alpha, u):
         assert 0.0 <= embedding["fro_error"] <= FACTOR_TOL
         assert embedding["fft_len"] == 2 * _next_smooth(embedding["fft_len"] // 2)
     assert report.synthesis["path"]["fft_len"] == 2 * (grid.n - 1)
+    assert report.synthesis["path"]["engine"] == ("direct" if alpha == 2.0 else "fft")
+    assert report.synthesis.get("limit", {"engine": "fft"})["engine"] == "fft"
     assert set(report.config["versions"]) == {"excursions", "numpy"}
     assert report.config["versions"]["numpy"] == np.__version__
     payload = json.loads(json.dumps(report.to_dict()))
@@ -477,7 +492,7 @@ def test_report_blocks_on_an_uncensored_run(alpha, u):
 
 
 def _plan_synthesis(plan):
-    return verify._synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band)
+    return verify._synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band, plan.engine)
 
 
 @pytest.mark.parametrize("u", [6.0, 10.0, 14.0])
@@ -488,6 +503,7 @@ def test_smooth_paths_draw_only_the_band_of_modes_that_carry_variance(u):
     block = _plan_synthesis(build_sampler(make_kernel(2.0), c2_grid(u)))
     assert block["fro_error"] <= FACTOR_TOL
     assert block["modes"] % 2 == 1 and block["modes"] < block["fft_len"]
+    assert block["engine"] == "direct"  # a sum over the band costs less than the FFT
     if u == 6.0:
         assert (block["modes"], block["fft_len"]) == (45, 8000)
 
@@ -504,6 +520,7 @@ def test_heavy_tail_embeddings_draw_every_mode(alpha):
         assert blocks[-1]["fft_len"] == 20000
     for block in blocks:
         assert block["modes"] == block["fft_len"]
+        assert block["engine"] == "fft"
 
 
 def test_default_heavy_tail_window_covers_the_longest_reach():
