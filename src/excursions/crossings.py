@@ -11,6 +11,8 @@ from .sampling import Grid
 
 __all__ = ["crossing_bounds", "c2_root_predictor"]
 
+_SIDES = np.array([[-1], [1]])  # left, right
+
 
 def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> np.ndarray:
     """First down-crossings of level u on each side of the origin, for each
@@ -25,23 +27,27 @@ def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> np.ndarray:
     """
     paths = np.asarray(values, dtype=float).reshape(-1, grid.n)
     o = grid.origin_index
-    if not np.all(paths[:, o] > u):
+    if not (paths[:, o] > u).all():
         raise PreconditionError("path does not exceed the threshold at the origin")
-    t = grid.times()
-    step = grid.step
-    rows = np.arange(paths.shape[0])
     below = paths <= u
-
-    j = o + np.argmax(below[:, o:], axis=1)  # first grid point at/below u on the right
-    i = o - np.argmax(below[:, o::-1], axis=1)  # last grid point at/below u on the left
-    crossed_right, crossed_left = below[rows, j], below[rows, i]
-    with np.errstate(all="ignore"):  # censored sides interpolate junk, which np.where drops
-        frac = (paths[rows, j - 1] - u) / (paths[rows, j - 1] - paths[rows, j])
-        tau_plus = np.where(crossed_right, t[j - 1] + frac * step, t[-1])
-        frac = (paths[rows, i + 1] - u) / (paths[rows, i + 1] - paths[rows, i])
-        tau_minus = np.where(crossed_left, t[i + 1] - frac * step, t[0])
-    length = np.where(crossed_left & crossed_right, tau_plus - tau_minus, math.nan)
-    return np.stack((tau_minus, tau_plus, length), axis=-1).reshape(np.shape(values)[:-1] + (3,))
+    # offsets from the origin of each side's first grid point at/below u, left
+    # then right; 0 on a side with none (censored), since the origin is above u
+    k = np.empty((2, len(paths)), dtype=np.intp)
+    below[:, o::-1].argmax(axis=1, out=k[0])
+    below[:, o:].argmax(axis=1, out=k[1])
+    rows, sides = np.arange(len(paths)), _SIDES * grid.step  # sides: -step, +step
+    last = o + _SIDES * k  # each side's first point at/below u
+    inner, outer = paths[rows, last - _SIDES], paths[rows, last]
+    out = np.empty((3, len(paths)))  # tau_minus, tau_plus, length
+    with np.errstate(all="ignore"):  # censored sides interpolate junk, which is overwritten
+        frac = (inner - u) / (inner - outer)
+    # (k - 1) * sides is grid.times() at the crossing cell's inner end
+    np.add((k - 1) * sides, frac * sides, out=out[:2])
+    censored = k == 0
+    np.copyto(out[:2], o * sides, where=censored)  # parked on the window's last grid point
+    np.subtract(out[1], out[0], out=out[2])
+    out[2, censored.any(axis=0)] = math.nan
+    return out.T.reshape(np.shape(values)[:-1] + (3,))
 
 
 def c2_root_predictor(x0: float, xprime0: float, xsecond: float, u: float) -> float:

@@ -11,10 +11,13 @@ of its thousands of modes, the default heavy-tail embeddings keep them all.
 A plan evaluates the same draw, from the same normals, in one of two ways.
 The FFT transforms the whole circle.  The direct sum folds each mode M - k
 onto k and multiplies the band's coefficients into a cos/sin basis of the
-grid, 2 (K + 1) rows of n points.  build_sampler picks the direct sum when
-the band leaves part of the circle undrawn and the product is cheap against
-the FFT, as on every default smooth-regime grid; heavy-tail spectra keep
-every mode, so their plans transform.
+grid, 2 (K + 1) rows of n points, one column slice (direct_slices) at a
+time.  build_sampler picks the direct sum when the band leaves part of the
+circle undrawn and the product is cheap against the FFT, as on every default
+smooth-regime grid; heavy-tail spectra keep every mode, so their plans
+transform.  The samplers here evaluate every slice; verify's path lane
+evaluates only those its crossings need, and each point it evaluates has the
+bits it has here.
 Samplers take a block of consecutive substream seeds (one seed is a block of
 one) and run batched FFTs in place along the rows of a reused per-thread
 buffer, or direct-sum products of a fixed shape; each substream keeps its own
@@ -86,6 +89,10 @@ _DIRECT_ROWS = 8
 # only contend for the CPU.  The basis is cut into column slices to keep each
 # product within it.
 _DIRECT_MACS = 2**18
+# Products per direct-sum block.  verify's path lane scans all of a block's
+# paths in each of its rounds, so the products share each round's fixed costs;
+# at 4001 points 4 products' rows take 1 MiB, about a third of it evaluated.
+_DIRECT_PRODUCTS = 4
 
 
 @dataclass(frozen=True)
@@ -296,24 +303,29 @@ def _takes_direct_sum(m: int, band: int, n: int) -> bool:
     return 2 * band + 1 < m and 2 * (band + 1) * n <= _DIRECT_COST * m * math.ceil(math.log2(m))
 
 
-def direct_draw(weights: np.ndarray, band: int, basis: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-    """circulant_draw evaluated on the grid from the same normals: each
-    generator draws what it draws there, each normal is weighted by its own
-    mode's weight, modes M - k are folded onto k, and the real and imaginary
-    parts of a pair are the rows of one coefficient matrix times ``basis``
-    (band_basis).  Every product has _DIRECT_ROWS rows, short chunks padded
-    with zeros, and at most _DIRECT_MACS multiply-adds, so a row comes out
-    the same in any block and OpenBLAS runs on the calling thread."""
-    m = weights.size
-    head, tail = band_split(m, band)
-    drawn_weights = np.concatenate((weights[:head], weights[m - tail :]))
+def direct_slices(basis: np.ndarray) -> list[slice]:
+    """The column slices of ``basis`` (band_basis) that direct-sum products
+    evaluate, each within _DIRECT_MACS multiply-adds on _DIRECT_ROWS rows, so
+    OpenBLAS runs on the calling thread."""
     terms, n = basis.shape
-    per_product = _DIRECT_ROWS // 2
     width = max(1, _DIRECT_MACS // (_DIRECT_ROWS * terms))
-    pairs = np.empty((-(-len(rngs) // per_product) * _DIRECT_ROWS, n))
+    return [slice(cols, min(cols + width, n)) for cols in range(0, n, width)]
+
+
+def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]):
+    """(start, coef) for each run of _DIRECT_ROWS // 2 generators from
+    rngs[start]: each draws what it draws in circulant_draw, each normal is
+    weighted by its mode's weight, modes M - k are folded onto k, and coef (a
+    short run padded with zero rows) times a basis slice is the run's pairs
+    there.  Every product has _DIRECT_ROWS rows, so a row comes out the same in
+    any block."""
+    weights, m = plan.spectral_weights, plan.spectral_weights.size
+    head, tail = band_split(m, plan.band)
+    drawn_weights = np.concatenate((weights[:head], weights[m - tail :]))
+    per_product = _DIRECT_ROWS // 2
     drawn = np.empty((per_product, 2, head + tail))
-    coef = np.empty((_DIRECT_ROWS, terms))
     for start in range(0, len(rngs), per_product):
+        coef = np.empty((_DIRECT_ROWS, 2 * head))
         chunk = rngs[start : start + per_product]
         for row, rng in zip(drawn, chunk):
             rng.standard_normal(out=row)
@@ -328,17 +340,22 @@ def direct_draw(weights: np.ndarray, band: int, basis: np.ndarray, rngs: list[np
         coef[0::2, head + 1 :] -= b_fold
         coef[1::2, 1:head] += b_fold
         coef[1::2, head + 1 :] += a_fold
-        rows = pairs[2 * start : 2 * start + _DIRECT_ROWS]
-        for cols in range(0, n, width):
-            np.matmul(coef, basis[:, cols : cols + width], out=rows[:, cols : cols + width])
-    return pairs[: 2 * len(rngs)]
+        yield start, coef
 
 
 def _draw(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:
-    """The plan's unconditional pairs, by its engine."""
+    """The plan's unconditional pairs, by its engine: circulant_draw, or the
+    same draw from the same normals, each direct_products coefficient matrix
+    times each direct_slices slice of the basis."""
     if plan.basis is None:
         return circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, rngs)
-    return direct_draw(plan.spectral_weights, plan.band, plan.basis, rngs)
+    slices = direct_slices(plan.basis)
+    pairs = np.empty((-(-len(rngs) // (_DIRECT_ROWS // 2)) * _DIRECT_ROWS, plan.grid.n))
+    for start, coef in direct_products(plan, rngs):
+        rows = pairs[2 * start : 2 * start + _DIRECT_ROWS]
+        for cols in slices:
+            np.matmul(coef, plan.basis[:, cols], out=rows[:, cols])
+    return pairs[: 2 * len(rngs)]
 
 
 def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
@@ -355,15 +372,13 @@ def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
 def plan_replicates(
     plan: SamplerPlan, draw_block: Callable[[list[int]], np.ndarray], n: int, master_seed: int, lane: int
 ):
-    """streams.replicates of draws on ``plan``, in blocks of block_size of its
-    weights.  FFT blocks go to the worker pool.  Direct-sum blocks, rounded up
-    to whole products, stay on the calling thread, since a direct block holds
-    the GIL for most of its time."""
-    size = block_size(plan.spectral_weights)
+    """streams.replicates of draws on ``plan``, in blocks.  FFT blocks, of
+    block_size of its weights, go to the worker pool.  Direct-sum blocks, of
+    _DIRECT_PRODUCTS whole products, stay on the calling thread, since a direct
+    block holds the GIL for most of its time."""
     if plan.basis is None:
-        return replicates(draw_block, n, master_seed, lane, size)
-    per_product = _DIRECT_ROWS // 2
-    return replicates(draw_block, n, master_seed, lane, -(-size // per_product) * per_product, pooled=False)
+        return replicates(draw_block, n, master_seed, lane, block_size(plan.spectral_weights))
+    return replicates(draw_block, n, master_seed, lane, _DIRECT_PRODUCTS * _DIRECT_ROWS // 2, pooled=False)
 
 
 def sample_unconditional(plan: SamplerPlan, seed) -> np.ndarray:
@@ -385,18 +400,20 @@ def _normal_tail(a: float) -> float:
 
 
 def _truncated_std_normal(a: float, rng: np.random.Generator) -> float:
-    """Standard normal conditioned on exceeding a; exact for every a."""
+    """Standard normal conditioned on exceeding a; exact for every a.  Its
+    uniforms come from rng.random(), the double rng.uniform() returns for the
+    same draw, without uniform()'s argument handling."""
     if a <= _INVERSE_CDF_CUTOFF:
         q = _normal_tail(a)
         # (1 - U) keeps the argument strictly positive, so the inverse stays finite
-        return -_STD_NORMAL.inv_cdf((1.0 - rng.uniform()) * q)
+        return -_STD_NORMAL.inv_cdf((1.0 - rng.random()) * q)
     lam = 0.5 * (a + math.sqrt(a * a + 4.0))
     if lam == math.inf:  # a * a overflowed: no draw would ever be accepted
         raise DomainError(f"threshold u / sigma = {a!r} is too large to sample above; its square overflows")
     while True:
         x = a + rng.standard_exponential() / lam
         # accept with probability exp(-(x - lam)^2 / 2)
-        if math.log(1.0 - rng.uniform()) <= -0.5 * (x - lam) ** 2:
+        if math.log(1.0 - rng.random()) <= -0.5 * (x - lam) ** 2:
             return x
 
 
@@ -413,6 +430,17 @@ def sample_truncated_normal(variance: float, u: float, seed) -> float:
     return sigma * _truncated_std_normal(u / sigma, rng)
 
 
+def exceedances(plan: SamplerPlan, u: float, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Two origin values above u per generator, each drawn after its normals.
+    Where the overshoot is too small for the float resolution of u, a draw
+    rounds to u itself; that raises DomainError, and nothing is redrawn."""
+    sigma = math.sqrt(plan.kernel.r0)
+    xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for rng in rngs for _ in range(2)])
+    if not (xi > u).all():
+        raise DomainError(f"threshold u = {u!r} is too large for r0 = {plan.kernel.r0!r}: draws round to u")
+    return xi
+
+
 def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed) -> np.ndarray:
     """Two independent exact draws of the path conditioned on its origin value
     exceeding u per substream of ``seed`` (see streams.generators), as rows of
@@ -425,8 +453,7 @@ def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed) -> np.ndarr
     """
     rngs = generators(seed)
     paths = _draw(plan, rngs)
-    sigma = math.sqrt(plan.kernel.r0)
-    xi = sigma * np.array([_truncated_std_normal(u / sigma, rng) for rng in rngs for _ in range(2)])
+    xi = exceedances(plan, u, rngs)
     origin = plan.grid.origin_index
     for row, shift in zip(paths, xi - paths[:, origin]):  # in place, row by row: no block temporary
         row += shift * plan.profile

@@ -2,16 +2,18 @@
 
 Replicates come in blocks of consecutive substreams, each substream with its
 own generator, so neither the block size nor the number of worker threads that
-draw the blocks changes a number, only speed and memory.  Blocks drawn by FFT
-go to a small worker pool; direct-sum blocks (see sampling) stay on the
-calling thread.
+draw the blocks changes a number, only speed and memory.  Substream seeds are
+the keys numpy's SeedSequence derives, computed from a cached prefix of its
+mixing state.  Blocks drawn by FFT go to a small worker pool; direct-sum
+blocks (see sampling) stay on the calling thread.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import deque
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -26,17 +28,51 @@ __all__ = ["substream_seed", "generator", "generators", "replicates"]
 # fifth would add at most 7% for one more block of memory.
 _MAX_WORKERS = 4
 
+# numpy's SeedSequence hash constants, and generate_state's first two multipliers.
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_OUT_1, _OUT_2 = _INIT_B * _MULT_B & _MASK, _INIT_B * _MULT_B**2 & _MASK
+
 
 def substream_seed(master_seed: int, *lane: int) -> int:
     """Derive a 64-bit seed for one replicate from a master seed and lane indices.
 
     Pure function of its arguments, so a replicate's stream never depends on
-    how many replicates a run draws or in which order.
+    how many replicates a run draws or in which order.  The seed is that of
+    ``SeedSequence(master_seed, spawn_key=lane).generate_state(1, np.uint64)``.
+    A seed sequence hashes its entropy words into its pool in order, so the
+    pool after all lane indices but the last is cached (_prefix), and each
+    seed mixes in its last index and hashes out two words in Python integers.
     """
-    if master_seed < 0:
-        raise DomainError(f"master seed must be a non-negative integer, got {master_seed}")
-    ss = np.random.SeedSequence(master_seed, spawn_key=lane)
-    return int(ss.generate_state(1, np.uint64)[0])
+    master_seed, lane = operator.index(master_seed), tuple(map(operator.index, lane))
+    if master_seed < 0 or min(lane, default=0) < 0:
+        raise DomainError(f"master seed and lane indices must be non-negative, got {master_seed}, {lane}")
+    pool, const = _prefix(master_seed, lane[:-1])
+    pool = list(pool)
+    for word in _words(lane[-1]) if lane else ():
+        for dst in range(4):  # hash the word and mix it into each pool word
+            value = (word ^ const) * (const := const * _MULT_A & _MASK) & _MASK
+            mixed = (_MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16)) & _MASK
+            pool[dst] = mixed ^ mixed >> 16
+    lo, hi = (pool[0] ^ _INIT_B) * _OUT_1 & _MASK, (pool[1] ^ _OUT_1) * _OUT_2 & _MASK
+    return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
+
+
+def _words(value: int) -> list[int]:
+    """An integer's 32-bit words, least significant first, as a seed sequence reads it."""
+    return [value >> shift & _MASK for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+@lru_cache(maxsize=64)
+def _prefix(master_seed: int, head: tuple) -> tuple[tuple, int]:
+    """The pool of SeedSequence(master_seed, spawn_key=head), which a longer
+    spawn key only extends, and its hash constant: 16 hashes fill and mix the
+    pool of four words, and 4 more mix in each entropy word beyond the fourth
+    (a master seed of fewer words is zero padded, which hashes the same)."""
+    hashes = 16 + 4 * (max(0, len(_words(master_seed)) - 4) + sum(len(_words(index)) for index in head))
+    pool = np.random.SeedSequence(master_seed, spawn_key=head).pool
+    return tuple(map(int, pool)), _INIT_A * pow(_MULT_A, hashes, _MASK + 1) & _MASK
 
 
 def generator(seed: int) -> np.random.Generator:

@@ -6,10 +6,11 @@ independent draws: replicate i of a lane is half i % 2 of the pure substream
 any longer run, and reports are bit-identical across repeats.  Replicates are
 drawn and reduced (scanned, or cut to the panel's columns) in blocks of
 consecutive substreams (sampling.plan_replicates).  Smooth-regime path lanes
-take the direct sum and draw their blocks on the calling thread; heavy-tail
-path lanes and every limit lane take the FFT and draw on streams.replicates'
-worker threads, one per usable CPU and at most 4.  Neither the block size nor
-the number of workers changes a number.
+take the direct sum and draw their blocks on the calling thread, outward from
+the origin only as far as their crossings (_outward_intervals), with the
+numbers of a full draw; heavy-tail path lanes and every limit lane take the
+FFT and draw on streams.replicates' worker threads, one per usable CPU and at
+most 4.  Neither the block size nor the number of workers changes a number.
 """
 
 from __future__ import annotations
@@ -33,10 +34,13 @@ from .sampling import (
     band_split,
     block_size,
     build_sampler,
+    direct_products,
+    direct_slices,
+    exceedances,
     plan_replicates,
     sample_conditional_exceedance,
 )
-from .streams import replicates, substream_seed
+from .streams import generators, replicates, substream_seed
 
 __all__ = [
     "SampleSet",
@@ -175,13 +179,53 @@ def _drop_censored(lengths: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> np.ndarray:
     """Interval rows (tau_minus, tau_plus, length) of n exactly conditioned
-    paths on the plan's grid, drawn and scanned one block at a time."""
-    draw = partial(sample_conditional_exceedance, plan, u)
+    paths on the plan's grid, drawn and scanned one block at a time; direct
+    plans draw outward from the origin (_outward_intervals)."""
 
     def scan(seeds: list[int]) -> np.ndarray:
-        return crossing_bounds(plan.grid, draw(seeds), u)
+        return crossing_bounds(plan.grid, sample_conditional_exceedance(plan, u, seeds), u)
 
-    return np.concatenate(list(plan_replicates(plan, scan, n, master_seed, lane)))
+    blocks = scan if plan.basis is None else partial(_outward_intervals, plan, u)
+    return np.concatenate(list(plan_replicates(plan, blocks, n, master_seed, lane)))
+
+
+def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndarray:
+    """scan(seeds) of _path_intervals bit for bit on a direct plan, from only
+    the basis slices the crossings need: each product evaluates and conditions
+    the slice of direct_slices that holds the origin, then the next slice on
+    each side where one of its paths has not crossed, until every side has
+    crossed or reached the window's edge.  Each round scans every product's
+    paths at once, on the symmetric sub-grid over the longest evaluated side;
+    columns not yet evaluated hold junk, so a product's side counts only a
+    crossing inside its own evaluated columns."""
+    grid, o, basis = plan.grid, plan.grid.origin_index, plan.basis
+    slices = direct_slices(basis)
+    starts, stops = np.array([[s.start for s in slices], [s.stop - 1 for s in slices]])
+    rngs = generators(seeds)
+    coefs = [coef for _, coef in direct_products(plan, rngs)]
+    xi = exceedances(plan, u, rngs)
+    height = len(coefs[0])
+    rows = np.empty((len(coefs), height, grid.n))  # one (_DIRECT_ROWS, n) buffer per product
+    paths = rows.reshape(-1, grid.n)[: len(xi)]  # without the zero padding rows
+    ends = np.full((len(coefs), 2), o // slices[0].stop)  # each product's first and last slice
+    new, shift = [(p, ends[p, 0]) for p in range(len(coefs))], None
+    while new:
+        for p, k in new:
+            np.matmul(coefs[p], basis[:, slices[k]], out=rows[p, :, slices[k]])
+        if shift is None:  # the first round evaluates the origin's slices
+            shift = (xi - paths[:, o])[:, None]
+        for p, k in new:
+            part = slice(height * p, height * (p + 1))
+            paths[part, slices[k]] += shift[part] * plan.profile[slices[k]]
+        paths[:, o] = xi
+        reach = np.column_stack((o - starts[ends[:, 0]], stops[ends[:, 1]] - o))  # evaluated points per side
+        r = max(reach.max(), 1)
+        found = crossing_bounds(Grid(grid.step, r * grid.step), paths[:, o - r : o + r + 1], u)
+        uncrossed = ~(np.abs(found[:, :2]) < np.repeat(reach, height, axis=0)[: len(xi)] * grid.step)
+        grow = np.logical_or.reduceat(uncrossed, range(0, len(xi), height)) & (ends != [0, len(slices) - 1])
+        ends += grow * [-1, 1]
+        new = [(p, ends[p, side]) for p, side in zip(*np.nonzero(grow))]
+    return found
 
 
 def _limit_intervals(alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int) -> np.ndarray:

@@ -268,6 +268,10 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         ["verify-ht", "--u", "1e200"],
         ["sample-paths", "--alpha", "1", "--u", "1e200"],
         ["diagnostics", "--u", "1e200"],
+        # overshoots above u too small for the float resolution of u: a drawn
+        # exceedance rounds to u itself (some draws at u = 1e7, all at r0 = 1e-200)
+        ["verify-c2", "--u", "1e7", "--n", "100"],
+        ["verify-c2", "--r0", "1e-200", "--n", "100"],
     ],
     ids=[
         "verify-u0",
@@ -289,6 +293,8 @@ def test_diagnostics_rejects_smooth_kernel(tmp_path):
         "verify-ht-u-overflow",
         "paths-u-overflow",
         "diagnostics-u-overflow",
+        "verify-c2-u-overshoot-rounds",
+        "verify-c2-r0-overshoot-rounds",
     ],
 )
 def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
@@ -298,6 +304,8 @@ def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     if "--u" in argv:  # a bad threshold is named as such
         assert "threshold u" in err, err
+    if argv[1:3] == ["--r0", "1e-200"]:  # an overshoot lost to rounding names u and r0
+        assert "threshold u" in err and "r0" in err, err
     assert not out.exists()
 
 

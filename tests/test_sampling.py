@@ -339,6 +339,16 @@ def test_truncated_normal_rejects_a_threshold_whose_square_overflows():
         sample_truncated_normal(1.0, 1e160, 1)
 
 
+@pytest.mark.parametrize("u, r0", [(6.0, 1e-200), (1e7, 1.0)])
+def test_conditioning_refuses_an_exceedance_that_rounds_to_u(u, r0):
+    # the overshoot above u has scale r0 / u; below the float resolution of u
+    # a drawn origin value rounds to u itself, every one at r0 = 1e-200 and
+    # about 1% at u = 1e7, so the conditioning cannot hold: refuse, never redraw
+    plan = build_sampler(make_kernel(2.0, r0), c2_grid(6.0))
+    with pytest.raises(DomainError, match=r"threshold u = .* r0 = "):
+        sample_conditional_exceedance(plan, u, [substream_seed(1729, 0, k) for k in range(50)])
+
+
 def test_normal_tail_matches_scipy_ndtr():
     # the inverse-CDF branch sees a = u / sigma <= 2, down to vacuous thresholds
     a = np.linspace(-40.0, 2.0, 10_000)

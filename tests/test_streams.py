@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from excursions import (
     DomainError,
@@ -27,7 +29,7 @@ from excursions import (
 from excursions import streams, verify
 from excursions.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
 from excursions.sampling import plan_replicates
-from excursions.streams import generator, replicates
+from excursions.streams import generator, replicates, substream_seed
 
 
 @pytest.mark.parametrize("key", [0, 1729, 2**64 - 1, 2**64 + 12345])
@@ -35,6 +37,34 @@ def test_generator_draws_the_stream_of_its_philox_key(key):
     # keyed without drawing OS entropy, yet the same stream as Philox(key=key)
     expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(1000)
     np.testing.assert_array_equal(generator(key).standard_normal(1000), expected)
+
+
+def _seed_sequence_key(master, *lane):
+    return int(np.random.SeedSequence(master, spawn_key=lane).generate_state(1, np.uint64)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
+    head=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=3),
+    k=st.one_of(st.integers(0, 10**6), st.integers(2**32, 2**80)),
+)
+@example(master=0, head=[0], k=0)
+@example(master=2**200 - 1, head=[2**64, 1], k=2**32)  # multiword master and lane words
+def test_substream_seeds_are_the_seed_sequence_keys(master, head, k):
+    # the cached prefix reproduces SeedSequence(master, spawn_key=lane), so no
+    # stream moves; asked twice, once from the cache, the key is the same
+    lane = (*head, k)
+    assert substream_seed(master, *lane) == _seed_sequence_key(master, *lane)
+    assert substream_seed(master, *head, k + 1) == _seed_sequence_key(master, *head, k + 1)
+    assert substream_seed(master, *head) == _seed_sequence_key(master, *head)  # the lane may be empty
+    assert substream_seed(np.int64(master % 2**63), *lane) == _seed_sequence_key(master % 2**63, *lane)
+
+
+@pytest.mark.parametrize("lane", [(-1,), (0, -2)])
+def test_substream_seeds_need_non_negative_lane_indices(lane):
+    with pytest.raises(DomainError):
+        substream_seed(1729, *lane)
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -4,9 +4,12 @@ verification driver."""
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from excursions import (
@@ -265,7 +268,7 @@ def _engine_and_reference(lane, window, n, seed):
     alpha, u = {"path-alpha2-u6": (2.0, 6.0), "path-alpha1-u10": (1.0, 10.0)}[lane]
     k = make_kernel(alpha)
     if alpha == 2.0:
-        grid = c2_grid(u)
+        grid = c2_grid(u) if window is None else c2_grid(u, 0.002, window)
     else:
         grid = heavy_tail_grid(k, u) if window is None else heavy_tail_grid(k, u, 0.02, window)
     plan = build_sampler(k, grid)
@@ -281,25 +284,32 @@ def _engine_and_reference(lane, window, n, seed):
         ("path-alpha1-u10", None, 37),
         ("limit", None, 37),
         ("path-alpha1-u10", 2.5, 201),
+        ("path-alpha2-u6", 3.0, 201),
         ("limit", 2.5, 201),
     ],
-    ids=["path-alpha2-u6", "path-alpha1-u10", "limit-alpha1", "path-censored", "limit-censored"],
+    ids=[
+        "path-alpha2-u6", "path-alpha1-u10", "limit-alpha1", "path-censored", "path-alpha2-censored", "limit-censored"
+    ],
 )
 def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, lane, window, n, block):
     # replicates drawn in blocks of substreams equal those drawn one substream
-    # pair at a time, whatever the block size; the 2.5 delta_u window censors
-    # both sides of some replicates, so nan lengths and edge parking count too
+    # pair at a time, whatever the block size; the 2.5 delta_u and 3/u windows
+    # censor both sides of some replicates, so nan lengths and edge parking
+    # count too, and the 3/u grid's 3001 points span 5 basis slices, so the
+    # smooth lane walks outward to the window's edge
     grid, weights, engine, reference = _engine_and_reference(lane, window, n, 1729)
     if block is not None:
         monkeypatch.setattr(sampling, "_BLOCK_BYTES", block * 16 * weights.size)
+        monkeypatch.setattr(sampling, "_DIRECT_PRODUCTS", block)  # products per direct block
         assert sampling.block_size(weights) == block
     rows = engine()
     assert rows.shape == (n, 3)
     if lane == "path-alpha2-u6":
         # the direct sum adds up the reference's normals on the grid instead of
         # transforming them, so it matches the per-pair FFT to rounding only
-        # (9e-15 here); its runs round blocks up to whole products, so draw
-        # blocks of exactly this size too, which must give the same bits
+        # (9e-15 here); full draws, scanned whole in blocks of block_size
+        # substreams, must give the bits of the lane's blocks of 1, 3 or 4
+        # products
         np.testing.assert_allclose(rows, reference, rtol=0.0, atol=1e-12)
         plan = build_sampler(make_kernel(2.0), grid)
         assert plan.engine == "direct"
@@ -307,12 +317,62 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
         scan = lambda seeds: crossing_bounds(grid, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
         exact = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, size, pooled=False)))
         np.testing.assert_array_equal(rows, exact)
+        assert window is None or len(sampling.direct_slices(plan.basis)) == 5
     else:
         np.testing.assert_array_equal(rows, reference)
     if window is not None:
         t = grid.times()
         assert (reference[:, 0] == t[0]).any() and (reference[:, 1] == t[-1]).any()
         assert np.isnan(reference[:, 2]).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.floats(min_value=0.005, max_value=0.8, allow_nan=False),
+    arms=st.integers(min_value=1, max_value=400),
+    r0=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+    u=st.floats(min_value=0.5, max_value=8.0, allow_nan=False),
+    macs=st.sampled_from([sampling._DIRECT_MACS, 2**11]),
+    n=st.integers(min_value=1, max_value=23),
+)
+@example(step=0.01, arms=400, r0=1.0, u=6.0, macs=2**11, n=23)  # direct, 201 slices
+@example(step=0.01, arms=400, r0=1.0, u=0.5, macs=2**11, n=23)  # direct, 2 of 23 censored
+@example(step=0.02, arms=400, r0=0.5, u=3.0, macs=sampling._DIRECT_MACS, n=9)  # FFT
+def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n):
+    # on any smooth plan and threshold, the path lane (outward from the origin
+    # on direct plans) gives the rows of the full conditioned draws' scan bit
+    # for bit, censored sides and nan lengths included; small products cut the
+    # basis into many slices
+    kernel, grid = make_kernel(2.0, r0), Grid(step, step * arms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_DIRECT_MACS", macs)
+        plan = build_sampler(kernel, grid)
+        size = sampling.block_size(plan.spectral_weights)
+        draw = partial(sample_conditional_exceedance, plan, u)
+        blocks = replicates(lambda s: crossing_bounds(grid, draw(s), u), n, 99, PATH_LANE, size, pooled=False)
+        full = np.concatenate(list(blocks))
+        lane = verify._path_intervals(plan, u, n, 99, PATH_LANE)
+    np.testing.assert_array_equal(lane, full)
+
+
+def test_default_smooth_lane_evaluates_only_the_slices_its_crossings_need(monkeypatch):
+    # at u = 6 each 8-row product's basis has 6 slices of 712 columns, the
+    # origin's being [1424, 2136); no excursion at seed 1729 reaches more than
+    # 617 points from the origin, so a product evaluates its origin's slice and
+    # at most one more per side, yet the rows are those of the full draws
+    k, g, n = make_kernel(2.0), c2_grid(6.0), 400
+    plan = build_sampler(k, g)
+    slices = sampling.direct_slices(plan.basis)
+    assert plan.engine == "direct" and [(s.start, s.stop) for s in slices][2] == (1424, 2136)
+    scan = lambda seeds: crossing_bounds(g, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
+    full = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, 4, pooled=False)))
+    products, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: products.append(b.shape) or matmul(a, b, **kw))
+    rows = verify._path_intervals(plan, 6.0, n, 1729, PATH_LANE)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(rows, full)
+    per_product = len(products) / (n // 8)
+    assert 1.0 < per_product <= 3.0 < len(slices), per_product
 
 
 def test_memory_stays_flat_in_the_run_size():
