@@ -7,8 +7,9 @@ diagnostics need --alpha < 2; sample-paths takes either.
 
 Replicate i of a run is half i % 2 of the path pair drawn from substream
 i // 2 of its seed, drawn in blocks of consecutive substreams: by a direct sum
-over the spectral band on the calling thread in the smooth regime, by FFT on a
-few worker threads (one per usable CPU, at most 4) in the heavy-tail one.
+over the spectral band on the calling thread in the smooth regime, by the exact
+Markov recursion on the calling thread at alpha = 1, and by FFT on a few worker
+threads (one per usable CPU, at most 4) at every other heavy-tail alpha.
 Neither the block size nor the number of workers changes a number (see
 verify).
 
@@ -47,6 +48,7 @@ from .verify import (
     c2_grid,
     covariance_panel,
     heavy_tail_grid,
+    limit_grid,
     run_verification,
 )
 
@@ -138,8 +140,11 @@ def cmd_verify(args) -> int:
         raise DomainError("verify-ht applies to the heavy-tail regime; requires --alpha < 2")
     kernel = make_kernel(args.alpha, args.r0)
     echo = {"grid_step_factor": args.grid_step_factor, "window_factor": args.window_factor}
+    # the limit grid's step is in delta_u units, like the heavy-tail path grid's;
+    # a smooth run ignores its limit grid, so it keeps the default one
+    limit = limit_grid() if kernel.alpha == 2.0 else limit_grid(args.grid_step_factor)
     report = run_verification(
-        kernel, args.u, _path_grid(args, kernel), args.n, args.seed, extra_config={"cli": echo}
+        kernel, args.u, _path_grid(args, kernel), args.n, args.seed, limit=limit, extra_config={"cli": echo}
     )
     _write_report(report, args.out)
     return EXIT_OK if report.passed else EXIT_ACCEPTANCE_FAILED

@@ -1,4 +1,5 @@
-"""Excursion interval measurement on sampled paths."""
+"""Excursion interval measurement on sampled paths, and on Markov walks drawn
+outward from the origin only as far as their crossings."""
 
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ from .sampling import Grid
 __all__ = ["crossing_bounds", "c2_root_predictor"]
 
 _SIDES = np.array([[-1], [1]])  # left, right
+# Steps a Markov walk advances on each side per round (markov_intervals).  A
+# round draws 4 * MARKOV_CHUNK normals per generator, so this fixes the streams.
+MARKOV_CHUNK = 128
 
 
 def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> np.ndarray:
@@ -48,6 +52,61 @@ def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> np.ndarray:
     np.subtract(out[1], out[0], out=out[2])
     out[2, censored.any(axis=0)] = math.nan
     return out.T.reshape(np.shape(values)[:-1] + (3,))
+
+
+def markov_intervals(
+    grid: Grid,
+    level: float,
+    start: np.ndarray,
+    decay: float,
+    scale: float,
+    drift: float,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, int]:
+    """crossing_bounds rows of the walks x_(k+1) = decay * x_k + scale * z + drift
+    from x_0 = start, one on each side of the origin of each of two draws per
+    generator (start[2 g] and start[2 g + 1] for rngs[g]), and the number of
+    normals drawn.
+
+    The walks advance outward MARKOV_CHUNK steps per round.  In each round every
+    generator with a side that has neither reached the level nor the window's
+    edge draws 4 * MARKOV_CHUNK normals in one call, shaped (draw, side, step)
+    with the left side first; the others draw nothing, and their walks read
+    inf from then on, past their crossings.  So a generator's draws depend on
+    its own walks only, never on the block it is in.  A chunk is summed by
+    doubling, adding decay**d times the partial sums d steps back for
+    d = 1, 2, 4, ..., then decay**k times the side's last value.  The rows are
+    those of the whole window's scan: the symmetric sub-grid over the rounds
+    drawn holds every side's first crossing, or reaches the window's edge.
+    """
+    count, chunk, edge = len(rngs), MARKOV_CHUNK, grid.arm
+    powers = decay ** np.arange(1.0, chunk + 1)  # decay**k, k = 1..chunk
+    walks = [np.repeat(start, 2).reshape(count, 4, 1)]  # (generator, draw and side, step)
+    closed = np.zeros((count, 4), dtype=bool)
+    drawing = np.arange(count)  # generators with an open side
+    normals = 0
+    for done in range(0, edge, chunk):  # steps walked on each side so far
+        x = np.empty((drawing.size, 4, chunk))
+        for row, g in zip(x, drawing):
+            rngs[g].standard_normal(out=row)
+        normals += x.size
+        x *= scale
+        x += drift
+        d = 1
+        while d < chunk:
+            x[..., d:] += powers[d - 1] * x[..., :-d]
+            d *= 2
+        x += powers * walks[-1][drawing, :, -1:]
+        walks.append(np.full((count, 4, chunk), math.inf))
+        walks[-1][drawing] = x
+        closed[drawing] |= (x[..., : edge - done] <= level).any(axis=2)
+        drawing = np.flatnonzero(~closed.all(axis=1))
+        if not drawing.size:
+            break
+    r = min(chunk * (len(walks) - 1), edge)
+    walk = np.concatenate(walks, axis=2).reshape(2 * count, 2, -1)
+    paths = np.concatenate((walk[:, 0, r:0:-1], walk[:, 1, : r + 1]), axis=1)
+    return crossing_bounds(Grid(grid.step, r * grid.step), paths, level), normals
 
 
 def c2_root_predictor(x0: float, xprime0: float, xsecond: float, u: float) -> float:

@@ -3,7 +3,10 @@ limit process, and its zero-hitting interval around the origin.
 
 The limit process is Y_t = sqrt(2 c) B(t) + r0 * t_star - (c / r0) * |t|**alpha
 with c = c_alpha(alpha), B a two-sided fBm of Hurst index alpha/2 pinned at
-B(0) = 0, and t_star an independent unit exponential level.
+B(0) = 0, and t_star an independent unit exponential level.  At alpha = 1, B is
+a Brownian motion on each side of the origin, so each side of Y is a Gaussian
+walk from r0 * t_star, drawn outward only as far as its crossing
+(crossings.markov_intervals); every other alpha draws the whole window's fBm.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .crossings import crossing_bounds
+from .crossings import crossing_bounds, markov_intervals
 from .errors import DomainError
 from .kernels import c_alpha
 from .sampling import Grid, circulant_draw, circulant_weights
@@ -79,20 +82,39 @@ def limit_process_values(
     return values
 
 
+def _levels(rngs: list[np.random.Generator]) -> np.ndarray:
+    """A unit exponential level t_star > 0 for each of the two draws of every
+    generator, in generator order."""
+    t_star = np.empty(2 * len(rngs))
+    for half in range(t_star.size):
+        t_star[half] = rngs[half // 2].standard_exponential()
+        while t_star[half] == 0.0:  # zero draws break the origin-positivity precondition
+            t_star[half] = rngs[half // 2].standard_exponential()
+    return t_star
+
+
+def _markov_limit_intervals(c: float, r0: float, grid: Grid, rngs: list[np.random.Generator]):
+    """(rows, normals drawn) of _draw_intervals at alpha = 1: each generator
+    draws its two levels t_star, then each side of each draw walks from
+    r0 * t_star with Gaussian steps of mean -(c / r0) * step and variance
+    2 c * step, the limit process's exact law on the grid."""
+    if not r0 > 0.0:
+        raise DomainError(f"r0 must be positive, got {r0!r}")
+    scale, drift = math.sqrt(2.0 * c * grid.step), -(c / r0) * grid.step
+    return markov_intervals(grid, 0.0, r0 * _levels(rngs), 1.0, scale, drift, rngs)
+
+
 def _draw_intervals(alpha: float, c: float, r0: float, grid: Grid, seed) -> np.ndarray:
     """Two independent zero-hitting intervals around the origin per substream
-    of ``seed``, as crossing_bounds rows: one fBm pair from each substream's
-    generator, then a unit exponential level t_star > 0 for each half.  A side
-    with no crossing inside the window is censored, never redrawn."""
+    of ``seed``, as crossing_bounds rows.  At alpha = 1 by _markov_limit_intervals;
+    otherwise one fBm pair from each substream's generator, then a unit
+    exponential level t_star > 0 for each half.  A side with no crossing
+    inside the window is censored, never redrawn."""
     rngs = generators(seed)
+    if alpha == 1.0:
+        return _markov_limit_intervals(c, r0, grid, rngs)[0]
     b = fbm_two_sided(alpha, grid, rngs)
-    t_star = np.empty(len(b))
-    for k, rng in enumerate(rngs):
-        for half in (2 * k, 2 * k + 1):
-            t_star[half] = rng.standard_exponential()
-            while t_star[half] == 0.0:  # zero draws break the origin-positivity precondition
-                t_star[half] = rng.standard_exponential()
-    return crossing_bounds(grid, limit_process_values(grid, b, t_star, alpha, c, r0), 0.0)
+    return crossing_bounds(grid, limit_process_values(grid, b, _levels(rngs), alpha, c, r0), 0.0)
 
 
 def sample_limit_length(alpha: float, r0: float, grid: Grid, seed) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Exact synthesis of stationary Gaussian paths and exceedance conditioning.
 
-Sampling is exact (no AR/Markov approximation): circulant embedding of the
-Toeplitz covariance, padded until the spectrum is non-negative and the realized
-covariance passes a Frobenius check.  One complex FFT yields two independent
+Sampling is exact for the grid law, never an approximating AR model:
+circulant embedding of the Toeplitz covariance, padded until the spectrum is
+non-negative and the realized covariance passes a Frobenius check.  At
+alpha = 1 the kernel r0 exp(-|t|) is an Ornstein-Uhlenbeck process, whose grid
+values are exactly an AR(1) chain, so verify's path lane walks that recursion
+outward from the origin instead (crossings.markov_intervals); every sampler
+here keeps the embedding.  One complex FFT yields two independent
 exact draws, its real and imaginary parts, so every substream seed gives a
 pair.  Eigenvalues at or below EIGENVALUE_TOL times the largest are clamped
 to zero, and normals are drawn only for the band of circular frequencies
@@ -233,8 +237,6 @@ def band_split(size: int, band: int) -> tuple[int, int]:
 
 
 _scratch = threading.local()
-# numpy 2 transforms the block buffer in place; older numpy allocates the result.
-_FFT_IN_PLACE = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 def _block_buffers(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +275,7 @@ def circulant_draw(weights: np.ndarray, band: int, n: int, rngs: list[np.random.
         z.real[:, m - tail :], z.imag[:, m - tail :] = drawn[:, 0, head:], drawn[:, 1, head:]
         for modes in (slice(0, head), slice(m - tail, m)):
             z[:, modes] *= weights[modes]
-        y = (np.fft.fft(z, axis=1, out=z) if _FFT_IN_PLACE else np.fft.fft(z, axis=1))[:, :n]
+        y = np.fft.fft(z, axis=1, out=z)[:, :n]
         out = pairs[2 * start : 2 * (start + len(chunk))]
         out[0::2], out[1::2] = y.real, y.imag
     return pairs

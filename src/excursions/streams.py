@@ -5,7 +5,8 @@ own generator, so neither the block size nor the number of worker threads that
 draw the blocks changes a number, only speed and memory.  Substream seeds are
 the keys numpy's SeedSequence derives, computed from a cached prefix of its
 mixing state.  Blocks drawn by FFT go to a small worker pool; direct-sum
-blocks (see sampling) stay on the calling thread.
+blocks (see sampling) and Markov walks (see crossings) stay on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def _key_type() -> type:
             self.key = key
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            dtype = np.dtype(dtype)
-            words = self.key.to_bytes(n_words * dtype.itemsize, "little")
-            return np.frombuffer(words, dtype.newbyteorder("<")).astype(dtype)
+            # the words least significant first, read-only, in one numpy call
+            dtype = np.dtype(dtype).newbyteorder("<")
+            return np.frombuffer(self.key.to_bytes(n_words * dtype.itemsize, "little"), dtype)
 
     return Key
 

@@ -8,9 +8,12 @@ drawn and reduced (scanned, or cut to the panel's columns) in blocks of
 consecutive substreams (sampling.plan_replicates).  Smooth-regime path lanes
 take the direct sum and draw their blocks on the calling thread, outward from
 the origin only as far as their crossings (_outward_intervals), with the
-numbers of a full draw; heavy-tail path lanes and every limit lane take the
-FFT and draw on streams.replicates' worker threads, one per usable CPU and at
-most 4.  Neither the block size nor the number of workers changes a number.
+numbers of a full draw.  At alpha = 1 both heavy-tail lanes are Markov: they
+walk their exact grid recursion outward from the origin, also only as far as
+their crossings, on the calling thread (_markov_lane).  The other heavy-tail
+path and limit lanes take the FFT and draw on streams.replicates' worker
+threads, one per usable CPU and at most 4.  Neither the block size nor the
+number of workers changes a number.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .crossings import crossing_bounds
+from .crossings import crossing_bounds, markov_intervals
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
-from .limit_process import _fgn_weights, sample_limit_length
+from .limit_process import _fgn_weights, _markov_limit_intervals, sample_limit_length
 from .sampling import (
     Grid,
     SamplerPlan,
@@ -78,11 +81,16 @@ WINDOW_FACTOR = 20.0
 LIMIT_GRID_STEP = 0.01
 LIMIT_GRID_HALF_WIDTH = 10.0
 
+# Substreams per block of a Markov lane (_markov_lane): enough that a round's
+# array operations are shared by many walks, few enough that walks which have
+# all crossed seldom wait long for the block's longest.
+_MARKOV_BLOCK = 32
+
 # Substream lanes, so path replicates and reference draws never collide.
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +185,45 @@ def _drop_censored(lengths: np.ndarray) -> tuple[np.ndarray, int]:
     return kept, lengths.size - kept.size
 
 
-def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> np.ndarray:
+def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> tuple[np.ndarray, dict]:
     """Interval rows (tau_minus, tau_plus, length) of n exactly conditioned
-    paths on the plan's grid, drawn and scanned one block at a time; direct
-    plans draw outward from the origin (_outward_intervals)."""
+    paths on the plan's grid, drawn and scanned one block at a time, and the
+    lane's synthesis block.  Direct plans draw outward from the origin
+    (_outward_intervals).  At alpha = 1 the path is an Ornstein-Uhlenbeck
+    process, so each side of it is walked outward from its origin value by its
+    exact grid recursion (_markov_lane)."""
+    if plan.kernel.alpha == 1.0:
+        decay = math.exp(-plan.grid.step)
+        scale = math.sqrt(-plan.kernel.r0 * math.expm1(-2.0 * plan.grid.step))  # sqrt(r0 (1 - decay**2))
+
+        def walk(rngs: list[np.random.Generator]) -> tuple[np.ndarray, int]:
+            return markov_intervals(plan.grid, u, exceedances(plan, u, rngs), decay, scale, 0.0, rngs)
+
+        return _markov_lane(walk, n, master_seed, lane)
 
     def scan(seeds: list[int]) -> np.ndarray:
         return crossing_bounds(plan.grid, sample_conditional_exceedance(plan, u, seeds), u)
 
     blocks = scan if plan.basis is None else partial(_outward_intervals, plan, u)
-    return np.concatenate(list(plan_replicates(plan, blocks, n, master_seed, lane)))
+    rows = np.concatenate(list(plan_replicates(plan, blocks, n, master_seed, lane)))
+    return rows, _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band, plan.engine)
+
+
+def _markov_lane(walk: Callable, n: int, master_seed: int, lane: int) -> tuple[np.ndarray, dict]:
+    """Interval rows of n replicates of a lane that walk(rngs) draws as
+    (rows, normals drawn) for a block of generators, in blocks of
+    _MARKOV_BLOCK substreams on the calling thread, since a walk holds the GIL
+    for most of its time; and the lane's synthesis block, its engine and the
+    mean normals drawn per pair."""
+    drawn = []
+
+    def block(seeds: list[int]) -> np.ndarray:
+        rows, normals = walk(generators(seeds))
+        drawn.append(normals)
+        return rows
+
+    rows = np.concatenate(list(replicates(block, n, master_seed, lane, _MARKOV_BLOCK, pooled=False)))
+    return rows, {"engine": "markov", "normals_per_pair": sum(drawn) / ((n + 1) // 2)}
 
 
 def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndarray:
@@ -228,11 +265,17 @@ def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndar
     return found
 
 
-def _limit_intervals(alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int) -> np.ndarray:
-    """Interval rows of n heavy-tail limit draws on the grid."""
+def _limit_intervals(
+    alpha: float, r0: float, grid: Grid, n: int, master_seed: int, lane: int
+) -> tuple[np.ndarray, dict]:
+    """Interval rows of n heavy-tail limit draws on the grid, and the lane's
+    synthesis block."""
+    if alpha == 1.0:
+        return _markov_lane(partial(_markov_limit_intervals, c_alpha(1.0), r0, grid), n, master_seed, lane)
+    embedding = _fgn_weights(alpha, grid)
     draw = partial(sample_limit_length, alpha, r0, grid)
-    size = block_size(_fgn_weights(alpha, grid)[0])
-    return np.concatenate(list(replicates(draw, n, master_seed, lane, size)))
+    rows = np.concatenate(list(replicates(draw, n, master_seed, lane, block_size(embedding[0]))))
+    return rows, _synthesis(*embedding)
 
 
 def simulate_excursion_lengths(
@@ -250,7 +293,7 @@ def simulate_excursion_lengths(
     counted, never imputed.  Returns (lengths, n_censored).
     """
     plan = build_sampler(kernel, grid)
-    return _drop_censored(_path_intervals(plan, u, n, master_seed, lane)[:, 2])
+    return _drop_censored(_path_intervals(plan, u, n, master_seed, lane)[0][:, 2])
 
 
 def draw_limit_lengths(
@@ -264,7 +307,7 @@ def draw_limit_lengths(
 ) -> tuple[np.ndarray, int]:
     """n draws of the heavy-tail limit interval length; censored draws dropped
     and counted."""
-    return _drop_censored(_limit_intervals(alpha, r0, grid, n, master_seed, lane)[:, 2])
+    return _drop_censored(_limit_intervals(alpha, r0, grid, n, master_seed, lane)[0][:, 2])
 
 
 def median_excursion_length(
@@ -439,7 +482,8 @@ def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int, band: i
     """Quality and size of one lane's circulant embedding; fft_len is the
     circulant length, which padding to a 5-smooth size decouples from
     embed_factor, modes the complex modes drawn per pair, and engine how the
-    lane evaluates its draws: "direct" or "fft" (every limit lane)."""
+    lane evaluates its draws: "direct" or "fft" (every limit lane drawn by
+    FFT).  Markov lanes embed nothing; _markov_lane writes their block."""
     return {
         "embed_factor": embed_factor,
         "fro_error": fro_error,
@@ -509,13 +553,11 @@ def run_verification(
         config.update(extra_config)
 
     plan = build_sampler(kernel, grid)
-    intervals = _path_intervals(plan, u, n, master_seed, PATH_LANE)
+    synthesis = {}
+    intervals, synthesis["path"] = _path_intervals(plan, u, n, master_seed, PATH_LANE)
     lengths, n_cens = _drop_censored(intervals[:, 2])
     _check_censor_budget(n_cens, n, "path simulation")
     censoring = {"path": _censoring(intervals, grid)}
-    synthesis = {
-        "path": _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band, plan.engine)
-    }
 
     if regime == "C2":
         d_u = n_cens_limit = None
@@ -528,11 +570,12 @@ def run_verification(
         reference_quantile = partial(c2_limit_quantile, params)
     else:
         d_u = delta_u(kernel, u)
-        limit_intervals = _limit_intervals(kernel.alpha, kernel.r0, limit, n, master_seed, LIMIT_LANE)
+        limit_intervals, synthesis["limit"] = _limit_intervals(
+            kernel.alpha, kernel.r0, limit, n, master_seed, LIMIT_LANE
+        )
         limit_lengths, n_cens_limit = _drop_censored(limit_intervals[:, 2])
         _check_censor_budget(n_cens_limit, n, "limit-process draws")
         censoring["limit"] = _censoring(limit_intervals, limit)
-        synthesis["limit"] = _synthesis(*_fgn_weights(kernel.alpha, limit))
         config["limit_grid"] = _grid_echo(limit)
         sample = make_sample_set(lengths / d_u)
         reference = make_sample_set(limit_lengths)

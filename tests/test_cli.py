@@ -131,7 +131,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 8
+    assert payload["schema_version"] == 9
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"] == {"grid_step_factor": 0.01, "window_factor": 20.0}
@@ -139,6 +139,19 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     header, rows = _read_csv(qcsv)
     assert header == ["p", "empirical", "reference"]
     assert [float(r[0]) for r in rows] == [0.05, 0.25, 0.5, 0.75, 0.95]
+
+
+def test_verify_ht_grid_step_factor_moves_the_limit_grid_too(tmp_path):
+    # both heavy-tail grids are in delta_u units, so one step factor sets both
+    # and the two lanes stay on matched steps
+    out = tmp_path / "report.json"
+    code = main(["verify-ht", "--n", "120", "--grid-step-factor", "0.02", "--out", str(out)])
+    payload = json.loads(out.read_text())
+    assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
+    config = payload["config"]
+    assert config["limit_grid"]["step"] == 0.02
+    assert config["path_grid"]["step"] == pytest.approx(0.02 * payload["delta_u"], rel=1e-15)
+    assert config["cli"]["grid_step_factor"] == 0.02
 
 
 @pytest.mark.parametrize("command", ["verify-c2", "verify-ht"])

@@ -119,14 +119,15 @@ def test_blocks_come_back_in_order_with_the_blocks_in_flight_bounded(monkeypatch
 
 def test_workers_switching_every_microsecond_draw_the_same_numbers(monkeypatch):
     # more workers than cores, and the interpreter switching threads as often
-    # as it can: each block must still fill its own thread's buffers
-    plan = build_sampler(make_kernel(1.0), Grid(0.01, 20.0))
+    # as it can: each block must still fill its own thread's buffers (alpha =
+    # 0.75, since both alpha = 1 lanes walk on the calling thread)
+    plan = build_sampler(make_kernel(0.75), Grid(0.01, 20.0))
     limit = limit_grid(0.02, 6.0)
 
     def lanes():
         return (
-            verify._path_intervals(plan, 10.0, 101, 7, verify.PATH_LANE),
-            verify._limit_intervals(1.0, 1.0, limit, 101, 7, verify.LIMIT_LANE),
+            verify._path_intervals(plan, 10.0, 101, 7, verify.PATH_LANE)[0],
+            verify._limit_intervals(0.75, 1.0, limit, 101, 7, verify.LIMIT_LANE)[0],
         )
 
     monkeypatch.setattr(streams, "_worker_count", lambda: 1)
@@ -160,6 +161,21 @@ def test_direct_sum_blocks_stay_on_the_calling_thread(monkeypatch):
         threads.clear()
         assert sum(len(b) for b in plan_replicates(plan, draw_block, 101, 1, 0)) == 101
         assert (threading.get_ident() not in threads) == pooled, plan.engine
+
+
+def test_markov_lanes_start_no_worker_pool(monkeypatch):
+    # at alpha = 1 both lanes walk their blocks on the calling thread, so a
+    # verification run starts no thread however many CPUs it may use
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(streams, "_worker_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    k = make_kernel(1.0)
+    report = run_verification(k, 10.0, heavy_tail_grid(k, 10.0), 201, 5, limit=limit_grid(0.02, 6.0))
+    assert report.synthesis["path"]["engine"] == report.synthesis["limit"]["engine"] == "markov"
 
 
 def _outputs(tmp_path, n):

@@ -34,10 +34,10 @@ from excursions import (
     simulate_excursion_lengths,
     wasserstein1,
 )
-from excursions import build_sampler, crossing_bounds, sample_conditional_exceedance, sampling, verify
-from excursions.limit_process import _fgn_weights
+from excursions import build_sampler, crossing_bounds, crossings, sample_conditional_exceedance, sampling, verify
+from excursions.limit_process import _fgn_weights, _levels, fbm_two_sided, limit_process_values
 from excursions.sampling import FACTOR_TOL, _next_smooth, _truncated_std_normal
-from excursions.streams import generator, replicates, substream_seed
+from excursions.streams import generator, generators, replicates, substream_seed
 from excursions.verify import (
     CENSOR_BUDGET,
     LIMIT_LANE,
@@ -197,6 +197,70 @@ def test_simulated_lengths_are_a_prefix_of_longer_runs(n):
     np.testing.assert_array_equal(short, longer[:n])
 
 
+@pytest.mark.parametrize("n", [47, 48])
+def test_markov_lengths_are_a_prefix_of_longer_runs(monkeypatch, n):
+    # the alpha = 1 path lane walks each substream's rounds from its own
+    # generator, so a run is a prefix of a longer one, also when the two runs
+    # cut their substreams into blocks differently
+    k = make_kernel(1.0)
+    g = heavy_tail_grid(k, 10.0)
+    monkeypatch.setattr(verify, "_MARKOV_BLOCK", 5)
+    short, cens_s = simulate_excursion_lengths(k, 10.0, g, n, 4321)
+    monkeypatch.setattr(verify, "_MARKOV_BLOCK", 7)
+    longer, cens_l = simulate_excursion_lengths(k, 10.0, g, n + 3, 4321)
+    assert cens_s == cens_l == 0  # nothing censored, so indices line up
+    np.testing.assert_array_equal(short, longer[:n])
+
+
+@pytest.mark.parametrize("lane", ["path", "limit"])
+def test_markov_lanes_draw_the_law_of_the_fft_lanes(lane):
+    # at alpha = 1 the Markov walks and the whole-window FFT draws sample the
+    # same law on the same grid, so their interval ends and lengths agree in
+    # distribution and in mean (a 10% error in the limit lane's drift reads
+    # p < 1e-3 and 5 standard errors at this size)
+    n = 5000
+    if lane == "path":
+        k = make_kernel(1.0)
+        grid = heavy_tail_grid(k, 10.0)
+        plan = build_sampler(k, grid)
+        markov = verify._path_intervals(plan, 10.0, n, 1729, PATH_LANE)[0]
+        scan = lambda seeds: crossing_bounds(grid, sample_conditional_exceedance(plan, 10.0, seeds), 10.0)  # noqa: E731
+    else:
+        grid, c = limit_grid(), c_alpha(1.0)
+        markov = verify._limit_intervals(1.0, 1.0, grid, n, 1729, LIMIT_LANE)[0]
+
+        def scan(seeds):
+            rngs = generators(seeds)
+            b = fbm_two_sided(1.0, grid, rngs)
+            return crossing_bounds(grid, limit_process_values(grid, b, _levels(rngs), 1.0, c, 1.0), 0.0)
+
+    fft = np.concatenate(list(replicates(scan, n, 2024, PATH_LANE, 8, pooled=False)))
+    assert not np.isnan(markov).any() and not np.isnan(fft).any()
+    for column in range(3):  # tau_minus, tau_plus and the length
+        a, b = markov[:, column], fft[:, column]
+        stat, p = ks_two_sample(make_sample_set(a), make_sample_set(b))
+        assert p > 1e-3, (column, stat, p)
+        assert abs(a.mean() - b.mean()) <= 4.0 * math.sqrt((a.var() + b.var()) / n), column
+
+
+def test_noise_free_walks_cross_where_their_recursion_does():
+    # with scale 0 the walks are deterministic: a drifted line from 3 crosses 0
+    # at |t| = 3, and decay**k * e**2 crosses 1 at |t| = 2 for decay = e**-step,
+    # in the third and second round of 128 steps; every generator draws all
+    # its rounds' normals regardless
+    grid, rngs = Grid(0.01, 5.0), generators([1, 2])
+    rows, normals = crossings.markov_intervals(grid, 0.0, np.full(4, 3.0), 1.0, 0.0, -0.01, rngs)
+    np.testing.assert_allclose(rows, [[-3.0, 3.0, 6.0]] * 4, rtol=1e-12)
+    assert normals == 2 * 3 * 4 * crossings.MARKOV_CHUNK
+    rows, normals = crossings.markov_intervals(grid, 1.0, np.full(4, math.e**2), math.exp(-0.01), 0.0, 0.0, rngs)
+    np.testing.assert_allclose(rows, [[-2.0, 2.0, 4.0]] * 4, rtol=1e-9)
+    assert normals == 2 * 2 * 4 * crossings.MARKOV_CHUNK
+    # a window too narrow for either crossing parks every side on its edge
+    rows, normals = crossings.markov_intervals(Grid(0.01, 1.5), 0.0, np.full(4, 3.0), 1.0, 0.0, -0.01, rngs)
+    assert (rows[:, 0] == -1.5).all() and (rows[:, 1] == 1.5).all() and np.isnan(rows[:, 2]).all()
+    assert normals == 2 * 2 * 4 * crossings.MARKOV_CHUNK
+
+
 def _reference_draw(weights, n, rng):
     """The per-pair circulant draw: real normals, then imaginary normals, for
     the modes up to the largest circular frequency of a nonzero weight, in
@@ -258,21 +322,98 @@ def _reference_limit_rows(alpha, grid, n, seed):
     return np.array(rows[:n])
 
 
+def _doubling_sums(x, decay):
+    """x[..., k] + decay * x[..., k - 1] + ... + decay**k * x[..., 0] along the
+    last axis, summed by doubling as the Markov walks sum a chunk, and checked
+    against the plain recursion to rounding."""
+    powers = decay ** np.arange(1.0, x.shape[-1] + 1)
+    plain = x.copy()
+    for k in range(1, x.shape[-1]):
+        plain[..., k] += decay * plain[..., k - 1]
+    d = 1
+    while d < x.shape[-1]:
+        x[..., d:] += powers[d - 1] * x[..., :-d]
+        d *= 2
+    np.testing.assert_allclose(x, plain, rtol=1e-12, atol=1e-12 * np.abs(plain).max())
+    return x, powers
+
+
+def _reference_walk_rows(grid, level, start, decay, scale, drift, rng):
+    """Interval rows of one generator's two Markov walks, drawn one round of
+    (draw, side, step) normals at a time until all four sides have crossed or
+    reached the window's edge, and scanned on the whole grid, where every
+    point no round reached reads +inf."""
+    chunk, arm = crossings.MARKOV_CHUNK, grid.arm
+    walk = np.full((2, 2, arm + 1), math.inf)  # draw, side (left, right), steps from the origin
+    walk[:, :, 0] = np.asarray(start)[:, None]
+    for done in range(0, arm, chunk):
+        x, powers = _doubling_sums(scale * rng.standard_normal((2, 2, chunk)) + drift, decay)
+        x += powers * walk[:, :, done, None]
+        stop = min(done + chunk, arm)
+        walk[:, :, done + 1 : stop + 1] = x[..., : stop - done]
+        if (walk[:, :, 1:] <= level).any(axis=2).all():
+            break
+    return [_reference_scan(grid, np.concatenate((side[0, :0:-1], side[1])), level) for side in walk]
+
+
+def _reference_markov_path_rows(plan, u, n, seed):
+    """Interval rows of n alpha = 1 paths, one substream at a time: two origin
+    values, then the Ornstein-Uhlenbeck recursion outward on each side."""
+    step, sigma = plan.grid.step, math.sqrt(plan.kernel.r0)
+    decay, scale = math.exp(-step), math.sqrt(-plan.kernel.r0 * math.expm1(-2.0 * step))
+    rows = []
+    for k in range((n + 1) // 2):
+        rng = generator(substream_seed(seed, PATH_LANE, k))
+        xi = [sigma * _truncated_std_normal(u / sigma, rng) for _ in range(2)]
+        rows += _reference_walk_rows(plan.grid, u, xi, decay, scale, 0.0, rng)
+    return np.array(rows[:n])
+
+
+def _reference_markov_limit_rows(grid, n, seed):
+    """Interval rows of n alpha = 1 limit draws (r0 = 1), one substream at a
+    time: two levels t_star, then a drifted Gaussian walk outward on each side."""
+    c = c_alpha(1.0)
+    rows = []
+    for k in range((n + 1) // 2):
+        rng = generator(substream_seed(seed, LIMIT_LANE, k))
+        t_star = []
+        for _ in range(2):
+            t_star.append(float(rng.standard_exponential()))
+            while t_star[-1] == 0.0:
+                t_star[-1] = float(rng.standard_exponential())
+        rows += _reference_walk_rows(grid, 0.0, t_star, 1.0, math.sqrt(2.0 * c * grid.step), -c * grid.step, rng)
+    return np.array(rows[:n])
+
+
+# lane id -> (kind, alpha, u)
+_LANES = {
+    "path-alpha2-u6": ("path", 2.0, 6.0),
+    "path-alpha1-u10": ("path", 1.0, 10.0),
+    "path-alpha0.75-u10": ("path", 0.75, 10.0),
+    "limit-alpha1": ("limit", 1.0, None),
+    "limit-alpha0.75": ("limit", 0.75, None),
+}
+
+
 def _engine_and_reference(lane, window, n, seed):
-    """(grid, embedding weights, engine rows thunk, reference rows) of one lane."""
-    if lane == "limit":
+    """(grid, embedding weights or None for a Markov lane, engine rows thunk,
+    reference rows) of one lane."""
+    kind, alpha, u = _LANES[lane]
+    if kind == "limit":
         grid = limit_grid() if window is None else limit_grid(0.02, window)
-        weights = _fgn_weights(1.0, grid)[0]
-        engine = lambda: verify._limit_intervals(1.0, 1.0, grid, n, seed, LIMIT_LANE)  # noqa: E731
-        return grid, weights, engine, _reference_limit_rows(1.0, grid, n, seed)
-    alpha, u = {"path-alpha2-u6": (2.0, 6.0), "path-alpha1-u10": (1.0, 10.0)}[lane]
+        engine = lambda: verify._limit_intervals(alpha, 1.0, grid, n, seed, LIMIT_LANE)[0]  # noqa: E731
+        if alpha == 1.0:
+            return grid, None, engine, _reference_markov_limit_rows(grid, n, seed)
+        return grid, _fgn_weights(alpha, grid)[0], engine, _reference_limit_rows(alpha, grid, n, seed)
     k = make_kernel(alpha)
     if alpha == 2.0:
         grid = c2_grid(u) if window is None else c2_grid(u, 0.002, window)
     else:
         grid = heavy_tail_grid(k, u) if window is None else heavy_tail_grid(k, u, 0.02, window)
     plan = build_sampler(k, grid)
-    engine = lambda: verify._path_intervals(plan, u, n, seed, PATH_LANE)  # noqa: E731
+    engine = lambda: verify._path_intervals(plan, u, n, seed, PATH_LANE)[0]  # noqa: E731
+    if alpha == 1.0:
+        return grid, None, engine, _reference_markov_path_rows(plan, u, n, seed)
     return grid, plan.spectral_weights, engine, _reference_path_rows(plan, u, n, seed)
 
 
@@ -282,13 +423,18 @@ def _engine_and_reference(lane, window, n, seed):
     [
         ("path-alpha2-u6", None, 37),
         ("path-alpha1-u10", None, 37),
-        ("limit", None, 37),
+        ("limit-alpha1", None, 37),
         ("path-alpha1-u10", 2.5, 201),
         ("path-alpha2-u6", 3.0, 201),
-        ("limit", 2.5, 201),
+        ("limit-alpha1", 2.5, 201),
+        ("path-alpha0.75-u10", None, 37),
+        ("limit-alpha0.75", None, 37),
+        ("path-alpha0.75-u10", 2.5, 201),
+        ("limit-alpha0.75", 2.5, 201),
     ],
     ids=[
-        "path-alpha2-u6", "path-alpha1-u10", "limit-alpha1", "path-censored", "path-alpha2-censored", "limit-censored"
+        "path-alpha2-u6", "path-alpha1-u10", "limit-alpha1", "path-censored", "path-alpha2-censored", "limit-censored",
+        "path-alpha0.75-u10", "limit-alpha0.75", "path-alpha0.75-censored", "limit-alpha0.75-censored",
     ],
 )
 def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, lane, window, n, block):
@@ -296,12 +442,16 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
     # pair at a time, whatever the block size; the 2.5 delta_u and 3/u windows
     # censor both sides of some replicates, so nan lengths and edge parking
     # count too, and the 3/u grid's 3001 points span 5 basis slices, so the
-    # smooth lane walks outward to the window's edge
+    # smooth lane walks outward to the window's edge.  The alpha = 1 lanes
+    # walk their Markov recursions outward, against a reference that draws
+    # one substream's rounds at a time; the alpha = 0.75 lanes take the FFT
     grid, weights, engine, reference = _engine_and_reference(lane, window, n, 1729)
     if block is not None:
-        monkeypatch.setattr(sampling, "_BLOCK_BYTES", block * 16 * weights.size)
+        if weights is not None:
+            monkeypatch.setattr(sampling, "_BLOCK_BYTES", block * 16 * weights.size)
+            assert sampling.block_size(weights) == block
         monkeypatch.setattr(sampling, "_DIRECT_PRODUCTS", block)  # products per direct block
-        assert sampling.block_size(weights) == block
+        monkeypatch.setattr(verify, "_MARKOV_BLOCK", block)  # substreams per Markov block
     rows = engine()
     assert rows.shape == (n, 3)
     if lane == "path-alpha2-u6":
@@ -351,7 +501,7 @@ def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n):
         draw = partial(sample_conditional_exceedance, plan, u)
         blocks = replicates(lambda s: crossing_bounds(grid, draw(s), u), n, 99, PATH_LANE, size, pooled=False)
         full = np.concatenate(list(blocks))
-        lane = verify._path_intervals(plan, u, n, 99, PATH_LANE)
+        lane = verify._path_intervals(plan, u, n, 99, PATH_LANE)[0]
     np.testing.assert_array_equal(lane, full)
 
 
@@ -368,7 +518,7 @@ def test_default_smooth_lane_evaluates_only_the_slices_its_crossings_need(monkey
     full = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, 4, pooled=False)))
     products, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul", lambda a, b, **kw: products.append(b.shape) or matmul(a, b, **kw))
-    rows = verify._path_intervals(plan, 6.0, n, 1729, PATH_LANE)
+    rows = verify._path_intervals(plan, 6.0, n, 1729, PATH_LANE)[0]
     monkeypatch.undo()
     np.testing.assert_array_equal(rows, full)
     per_product = len(products) / (n // 8)
@@ -483,7 +633,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 8
+    assert json.loads(payload)["schema_version"] == 9
     assert "delta_u" not in json.loads(payload)  # None fields are dropped
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
@@ -510,26 +660,33 @@ _REACH_KEYS = ("reach_p50", "reach_p99", "reach_p999", "reach_max")
 
 
 def test_censoring_block_counts_each_side(monkeypatch):
-    # a 2.5 delta_u window censors a few replicates of each lane, each on one
-    # side only, so the per-side counts add up to the censored totals
+    # a 2.5 delta_u window censors a few replicates of each lane on each side;
+    # the per-side counts are those of the lane's rows, and a replicate
+    # censored on both sides counts once in the lane's total
     monkeypatch.setattr(verify, "CENSOR_BUDGET", 1.0)
-    k = make_kernel(1.0)
-    grid = heavy_tail_grid(k, 10.0, 0.02, 2.5)
-    report = run_verification(k, 10.0, grid, 200, 13, limit=limit_grid(0.02, 2.5))
-    path, limit = report.censoring["path"], report.censoring["limit"]
-    assert min(path["censored_left"], path["censored_right"]) > 0
-    assert min(limit["censored_left"], limit["censored_right"]) > 0
-    assert path["censored_left"] + path["censored_right"] == report.n_censored
-    assert limit["censored_left"] + limit["censored_right"] == report.n_censored_limit
-    # a censored side is parked on the window's last grid point
-    assert path["reach_max"] == limit["reach_max"] == 1.0
+    k, n = make_kernel(1.0), 400
+    grid, limit = heavy_tail_grid(k, 10.0, 0.02, 2.5), limit_grid(0.02, 2.5)
+    report = run_verification(k, 10.0, grid, n, 13, limit=limit)
+    lanes = {
+        "path": (verify._path_intervals(build_sampler(k, grid), 10.0, n, 13, PATH_LANE)[0], grid, report.n_censored),
+        "limit": (verify._limit_intervals(1.0, 1.0, limit, n, 13, LIMIT_LANE)[0], limit, report.n_censored_limit),
+    }
+    for lane, (rows, g, total) in lanes.items():
+        block, t = report.censoring[lane], g.times()
+        left, right = rows[:, 0] == t[0], rows[:, 1] == t[-1]
+        assert min(block["censored_left"], block["censored_right"]) > 0
+        assert (block["censored_left"], block["censored_right"]) == (left.sum(), right.sum())
+        assert total == (left | right).sum() == np.isnan(rows[:, 2]).sum()
+        # a censored side is parked on the window's last grid point
+        assert block["reach_max"] == 1.0
 
 
-@pytest.mark.parametrize("alpha, u", [(2.0, 6.0), (1.0, 10.0)])
+@pytest.mark.parametrize("alpha, u", [(2.0, 6.0), (1.0, 10.0), (0.75, 10.0)])
 def test_report_blocks_on_an_uncensored_run(alpha, u):
     k = make_kernel(alpha)
     grid = c2_grid(u) if alpha == 2.0 else heavy_tail_grid(k, u)
-    report = run_verification(k, u, grid, 200, 2024, limit=limit_grid(0.02, 6.0))
+    n = 200
+    report = run_verification(k, u, grid, n, 2024, limit=limit_grid(0.02, 6.0))
     lanes = ["path"] if alpha == 2.0 else ["limit", "path"]  # a smooth run ignores the limit grid
     assert report.n_censored == (report.n_censored_limit or 0) == 0
     assert sorted(report.censoring) == sorted(report.synthesis) == lanes
@@ -538,13 +695,21 @@ def test_report_blocks_on_an_uncensored_run(alpha, u):
         assert block["censored_left"] == block["censored_right"] == 0
         reach = [block[key] for key in _REACH_KEYS]
         assert 0.0 < reach[0] <= reach[1] <= reach[2] <= reach[3] < 1.0
-        embedding = report.synthesis[lane]
-        assert embedding["embed_factor"] >= 1
-        assert 0.0 <= embedding["fro_error"] <= FACTOR_TOL
-        assert embedding["fft_len"] == 2 * _next_smooth(embedding["fft_len"] // 2)
-    assert report.synthesis["path"]["fft_len"] == 2 * (grid.n - 1)
-    assert report.synthesis["path"]["engine"] == ("direct" if alpha == 2.0 else "fft")
-    assert report.synthesis.get("limit", {"engine": "fft"})["engine"] == "fft"
+        synthesis = report.synthesis[lane]
+        if alpha == 1.0:
+            # both lanes walk their exact recursion: every pair draws whole
+            # rounds of 4 * MARKOV_CHUNK normals, at least one
+            assert set(synthesis) == {"engine", "normals_per_pair"} and synthesis["engine"] == "markov"
+            per_round = 4 * crossings.MARKOV_CHUNK
+            assert synthesis["normals_per_pair"] >= per_round
+            assert (synthesis["normals_per_pair"] * (n // 2)) % per_round == 0
+            continue
+        assert synthesis["embed_factor"] >= 1
+        assert 0.0 <= synthesis["fro_error"] <= FACTOR_TOL
+        assert synthesis["fft_len"] == 2 * _next_smooth(synthesis["fft_len"] // 2)
+        assert synthesis["engine"] == ("direct" if alpha == 2.0 else "fft")
+    if alpha != 1.0:
+        assert report.synthesis["path"]["fft_len"] == 2 * (grid.n - 1)
     assert set(report.config["versions"]) == {"excursions", "numpy"}
     assert report.config["versions"]["numpy"] == np.__version__
     payload = json.loads(json.dumps(report.to_dict()))
