@@ -63,23 +63,17 @@ DEFAULT_SEED = 1729
 _COVARIANCE_PAIRS = ((1.0, 1.0), (1.0, 2.0), (-1.0, 1.0))
 
 
-def _fmt(value) -> str:
-    """Shortest decimal text that parses back to exactly the same float."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write rows as they come, so a generator is never held in memory whole;
-    if producing them fails, the partial file is removed."""
+    if producing them fails, the partial file is removed.  The csv module
+    writes a float, numpy's float64 included, as its shortest text that
+    parses back to the same float."""
     fh = open(path, "w", newline="")
     try:
         with fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(rows)
     except BaseException:
         FilePath(path).unlink()
         raise
@@ -185,13 +179,13 @@ def cmd_sample_paths(args) -> int:
         raise DomainError(f"sample-paths needs --n >= 1, got {args.n}")
     kernel = make_kernel(args.alpha, args.r0)
     plan = build_sampler(kernel, _path_grid(args, kernel))
-    times = plan.grid.times()
+    times = plan.grid.times().tolist()
     draw = partial(sample_conditional_exceedance, plan, args.u)
     blocks = plan_replicates(plan, draw, args.n, args.seed, PATH_LANE)
     rows = (  # drawn as they are written: one block of paths in memory at a time
-        (float(t), float(v), i)
+        (t, v, i)
         for i, path in enumerate(chain.from_iterable(blocks))
-        for t, v in zip(times, path)
+        for t, v in zip(times, path.tolist())
     )
     if args.format == "json":
         _write_json(args.out, [{"t": t, "value": v, "replicate": r} for t, v, r in rows])

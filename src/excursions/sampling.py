@@ -13,15 +13,17 @@ to zero, and normals are drawn only for the band of circular frequencies
 |k| <= K that keeps a nonzero weight: the exp(-t**2) kernel keeps a few dozen
 of its thousands of modes, the default heavy-tail embeddings keep them all.
 A plan evaluates the same draw, from the same normals, in one of two ways.
-The FFT transforms the whole circle.  The direct sum folds each mode M - k
-onto k and multiplies the band's coefficients into a cos/sin basis of the
-grid, 2 (K + 1) rows of n points, one column slice (direct_slices) at a
-time.  build_sampler picks the direct sum when the band leaves part of the
-circle undrawn and the product is cheap against the FFT, as on every default
+The FFT transforms the whole circle.  The direct sum (direct_sum) folds each
+mode M - k onto k and multiplies the band's coefficients into a cos/sin basis
+of grid columns, 2 (K + 1) rows, one column slice (direct_slices) at a time;
+it holds for any band, the whole circle included.  build_sampler picks the
+direct sum when the band leaves part of the circle undrawn and the product
+over the whole grid is cheap against the FFT, as on every default
 smooth-regime grid; heavy-tail spectra keep every mode, so their plans
-transform.  The samplers here evaluate every slice; verify's path lane
-evaluates only those its crossings need, and each point it evaluates has the
-bits it has here.
+transform.  The samplers here evaluate the whole grid.  verify's path lane
+evaluates only the slices its crossings need, each point with the bits it has
+here, and verify's covariance panel sums only at the few columns it reads, on
+any plan, since the FFT's cost does not shrink with the columns read.
 Samplers take a block of consecutive substream seeds (one seed is a block of
 one) and run batched FFTs in place along the rows of a reused per-thread
 buffer, or direct-sum products of a fixed shape; each substream keeps its own
@@ -84,9 +86,13 @@ _FFT_BYTES = 2**17
 # one thread the two cost the same per pair at a ratio of 5 to 7 for M from
 # 4000 to 20000 (3.5 at M = 800); the FFT's worker pool wins back about 1.5x.
 _DIRECT_COST = 4
-# Rows of every direct-sum product, two per substream; a short last chunk is
-# padded with zero rows.  OpenBLAS may round a row differently in products of
-# different heights, so a fixed height keeps a run the prefix of a longer one.
+# Rows of every direct-sum product over a band that leaves part of the circle
+# undrawn, two per substream; a short last chunk is padded with zero rows.
+# OpenBLAS may round a row differently in products of different heights, so a
+# fixed height per plan (SamplerPlan.product_rows) keeps a run the prefix of a
+# longer one.  A product over the whole circle has one substream's 2 rows:
+# each row holds M + 2 coefficients, so the product is no larger than the
+# substream's normals.
 _DIRECT_ROWS = 8
 # Multiply-adds of the largest direct-sum product: OpenBLAS computes one this
 # small on the calling thread, while a larger one may wake BLAS threads that
@@ -97,6 +103,8 @@ _DIRECT_MACS = 2**18
 # paths in each of its rounds, so the products share each round's fixed costs;
 # at 4001 points 4 products' rows take 1 MiB, about a third of it evaluated.
 _DIRECT_PRODUCTS = 4
+# Entries of the largest k j mod m index band_basis builds at once (128 KiB).
+_BASIS_INDEX = 2**14
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,11 @@ class SamplerPlan:
     def engine(self) -> str:
         """How the plan evaluates its draws: "direct" or "fft"."""
         return "fft" if self.basis is None else "direct"
+
+    @property
+    def product_rows(self) -> int:
+        """Rows of each of the plan's direct-sum products (_DIRECT_ROWS)."""
+        return _DIRECT_ROWS if 2 * self.band + 1 < self.spectral_weights.size else 2
 
 
 def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) -> float:
@@ -231,9 +244,10 @@ def block_size(weights: np.ndarray) -> int:
 
 def band_split(size: int, band: int) -> tuple[int, int]:
     """(head, tail): the modes min(k, size - k) <= band of a size-point
-    circulant are [0, head) and [size - tail, size), the whole circle when the
-    band covers it; head + tail normals are drawn per real or imaginary part."""
-    return (band + 1, band) if 2 * band + 1 < size else (size, 0)
+    circulant are [0, head) and [size - tail, size), which meet when the band
+    covers the whole circle; head + tail normals are drawn per real or
+    imaginary part."""
+    return band + 1, min(band, size - band - 1)
 
 
 _scratch = threading.local()
@@ -281,21 +295,24 @@ def circulant_draw(weights: np.ndarray, band: int, n: int, rngs: list[np.random.
     return pairs
 
 
-def band_basis(m: int, band: int, n: int) -> np.ndarray:
-    """The direct sum's basis for the band of an m-point circulant on n grid
-    points: rows cos(2 pi k j / m) for k = 0..band, then sin(2 pi k j / m),
-    j < n.  Each row is looked up in one m-point table of twiddles at
-    k j mod m, so no temporary is larger than a row."""
+def band_basis(m: int, band: int, columns: np.ndarray) -> np.ndarray:
+    """The direct sum's basis for the band of an m-point circulant at the grid
+    columns j in ``columns``: rows cos(2 pi k j / m) for k = 0..band, then
+    sin(2 pi k j / m).  Each entry is looked up in one m-point table of
+    twiddles at k j mod m, for as many rows at once as keep that index within
+    _BASIS_INDEX entries: the whole band at a few columns, a few rows on a
+    whole grid."""
     angle = (2.0 * math.pi / m) * np.arange(m)
-    cos, sin = np.cos(angle), np.sin(angle)
-    basis = np.empty((2 * (band + 1), n))
-    j = np.arange(n)
-    index = np.zeros(n, dtype=np.intp)  # k j mod m, row by row
-    for k in range(band + 1):
-        np.take(cos, index, out=basis[k])
-        np.take(sin, index, out=basis[band + 1 + k])
-        index += j
+    cos = np.cos(angle)
+    sin = np.sin(angle, out=angle)
+    j = np.asarray(columns, dtype=np.intp)
+    basis = np.empty((2 * (band + 1), j.size))
+    rows = max(1, _BASIS_INDEX // j.size)
+    for k in range(0, band + 1, rows):
+        index = np.outer(np.arange(k, min(k + rows, band + 1)), j)
         np.remainder(index, m, out=index)
+        np.take(cos, index, out=basis[k : k + len(index)])
+        np.take(sin, index, out=basis[band + 1 + k : band + 1 + k + len(index)])
     return basis
 
 
@@ -305,59 +322,74 @@ def _takes_direct_sum(m: int, band: int, n: int) -> bool:
     return 2 * band + 1 < m and 2 * (band + 1) * n <= _DIRECT_COST * m * math.ceil(math.log2(m))
 
 
-def direct_slices(basis: np.ndarray) -> list[slice]:
+def direct_slices(basis: np.ndarray, rows: int) -> list[slice]:
     """The column slices of ``basis`` (band_basis) that direct-sum products
-    evaluate, each within _DIRECT_MACS multiply-adds on _DIRECT_ROWS rows, so
+    of ``rows`` rows evaluate, each within _DIRECT_MACS multiply-adds, so
     OpenBLAS runs on the calling thread."""
     terms, n = basis.shape
-    width = max(1, _DIRECT_MACS // (_DIRECT_ROWS * terms))
+    width = max(1, _DIRECT_MACS // (rows * terms))
     return [slice(cols, min(cols + width, n)) for cols in range(0, n, width)]
 
 
 def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]):
-    """(start, coef) for each run of _DIRECT_ROWS // 2 generators from
+    """(start, coef) for each run of plan.product_rows // 2 generators from
     rngs[start]: each draws what it draws in circulant_draw, each normal is
     weighted by its mode's weight, modes M - k are folded onto k, and coef (a
     short run padded with zero rows) times a basis slice is the run's pairs
-    there.  Every product has _DIRECT_ROWS rows, so a row comes out the same in
-    any block."""
+    there.  Every product on a plan has the same height, so a row comes out
+    the same in any block.  The normals and coef are one pair of buffers per
+    thread, which every product writes whole before reading, so a caller that
+    keeps a coef past the next product copies it; reusing them spares glibc
+    trimming and refaulting the thread's heap at every product."""
     weights, m = plan.spectral_weights, plan.spectral_weights.size
     head, tail = band_split(m, plan.band)
-    drawn_weights = np.concatenate((weights[:head], weights[m - tail :]))
-    per_product = _DIRECT_ROWS // 2
-    drawn = np.empty((per_product, 2, head + tail))
+    height = plan.product_rows
+    per_product = height // 2
+    drawn, coef = getattr(_scratch, "direct", (None, None))
+    if drawn is None or drawn.shape != (per_product, 2, head + tail) or coef.shape != (height, 2 * head):
+        drawn, coef = _scratch.direct = np.empty((per_product, 2, head + tail)), np.empty((height, 2 * head))
     for start in range(0, len(rngs), per_product):
-        coef = np.empty((_DIRECT_ROWS, 2 * head))
         chunk = rngs[start : start + per_product]
         for row, rng in zip(drawn, chunk):
             rng.standard_normal(out=row)
         drawn[len(chunk) :] = 0.0
-        drawn *= drawn_weights
+        drawn[..., :head] *= weights[:head]
+        drawn[..., head:] *= weights[m - tail :]
         a, b = drawn[:, 0], drawn[:, 1]  # real and imaginary parts, modes ascending
         a_fold, b_fold = a[:, : head - 1 : -1], b[:, : head - 1 : -1]  # modes M - k, k = 1..tail
         # y_j = sum_k z_k exp(-2 pi i k j / M) with z_{M-k} folded onto k
         coef[0::2, :head], coef[0::2, head:] = a[:, :head], b[:, :head]  # real rows
-        coef[1::2, :head], coef[1::2, head:] = b[:, :head], -a[:, :head]  # imaginary rows
-        coef[0::2, 1:head] += a_fold
-        coef[0::2, head + 1 :] -= b_fold
-        coef[1::2, 1:head] += b_fold
-        coef[1::2, head + 1 :] += a_fold
+        coef[1::2, :head] = b[:, :head]  # imaginary rows
+        np.negative(a[:, :head], out=coef[1::2, head:])
+        coef[0::2, 1 : tail + 1] += a_fold
+        coef[0::2, head + 1 : head + tail + 1] -= b_fold
+        coef[1::2, 1 : tail + 1] += b_fold
+        coef[1::2, head + 1 : head + tail + 1] += a_fold
         yield start, coef
 
 
+def direct_sum(plan: SamplerPlan, rngs: list[np.random.Generator], basis: np.ndarray) -> np.ndarray:
+    """The plan's unconditional pairs at the columns of ``basis`` (band_basis
+    of the plan's band), as a (2 * len(rngs), columns) array: each
+    direct_products coefficient matrix times each direct_slices slice of the
+    basis.  The same normals as circulant_draw's, summed instead of
+    transformed, at any band, the full circle included."""
+    height = plan.product_rows
+    pairs = np.empty((-(-len(rngs) // (height // 2)) * height, basis.shape[1]))
+    slices = direct_slices(basis, height)
+    for start, coef in direct_products(plan, rngs):
+        rows = pairs[2 * start : 2 * start + height]
+        for cols in slices:
+            np.matmul(coef, basis[:, cols], out=rows[:, cols])
+    return pairs[: 2 * len(rngs)]
+
+
 def _draw(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:
-    """The plan's unconditional pairs, by its engine: circulant_draw, or the
-    same draw from the same normals, each direct_products coefficient matrix
-    times each direct_slices slice of the basis."""
+    """The plan's unconditional pairs on its grid, by its engine: circulant_draw,
+    or direct_sum over the plan's basis."""
     if plan.basis is None:
         return circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, rngs)
-    slices = direct_slices(plan.basis)
-    pairs = np.empty((-(-len(rngs) // (_DIRECT_ROWS // 2)) * _DIRECT_ROWS, plan.grid.n))
-    for start, coef in direct_products(plan, rngs):
-        rows = pairs[2 * start : 2 * start + _DIRECT_ROWS]
-        for cols in slices:
-            np.matmul(coef, plan.basis[:, cols], out=rows[:, cols])
-    return pairs[: 2 * len(rngs)]
+    return direct_sum(plan, rngs, plan.basis)
 
 
 def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
@@ -367,7 +399,7 @@ def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
         lambda lags: kernel.value(lags * grid.step), grid.n
     )
     profile = kernel.value(grid.times()) / kernel.r0
-    basis = band_basis(weights.size, band, grid.n) if _takes_direct_sum(weights.size, band, grid.n) else None
+    basis = band_basis(weights.size, band, np.arange(grid.n)) if _takes_direct_sum(weights.size, band, grid.n) else None
     return SamplerPlan(kernel, grid, gap, embed_factor, weights, band, profile, basis)
 
 

@@ -4,16 +4,18 @@ One master seed drives a run.  Every substream seed yields a pair of
 independent draws: replicate i of a lane is half i % 2 of the pure substream
 (master, lane, i // 2), so a run of n replicates is the first n replicates of
 any longer run, and reports are bit-identical across repeats.  Replicates are
-drawn and reduced (scanned, or cut to the panel's columns) in blocks of
-consecutive substreams (sampling.plan_replicates).  Smooth-regime path lanes
+drawn and scanned in blocks of consecutive substreams
+(sampling.plan_replicates).  Smooth-regime path lanes
 take the direct sum and draw their blocks on the calling thread, outward from
 the origin only as far as their crossings (_outward_intervals), with the
 numbers of a full draw.  At alpha = 1 both heavy-tail lanes are Markov: they
 walk their exact grid recursion outward from the origin, also only as far as
 their crossings, on the calling thread (_markov_lane).  The other heavy-tail
 path and limit lanes take the FFT and draw on streams.replicates' worker
-threads, one per usable CPU and at most 4.  Neither the block size nor the
-number of workers changes a number.
+threads, one per usable CPU and at most 4.  The covariance panel draws its
+blocks on those threads too, but evaluates each draw only at its columns, by
+the direct sum over the whole band (_panel_rows).  Neither the block size nor
+the number of workers changes a number.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from .limit_process import _fgn_weights, _markov_limit_intervals, sample_limit_l
 from .sampling import (
     Grid,
     SamplerPlan,
+    band_basis,
     band_split,
     block_size,
     build_sampler,
     direct_products,
     direct_slices,
+    direct_sum,
     exceedances,
     plan_replicates,
     sample_conditional_exceedance,
@@ -85,6 +89,10 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 # array operations are shared by many walks, few enough that walks which have
 # all crossed seldom wait long for the block's longest.
 _MARKOV_BLOCK = 32
+# Substreams per block of the covariance panel: each draws the normals of a
+# whole path, 40 000 on the 20 000-point circle of a 50 delta_u window, so a
+# block of 4 shares a hand-off to a worker among a few milliseconds of work.
+_PANEL_BLOCK = 4
 
 # Substream lanes, so path replicates and reference draws never collide.
 PATH_LANE = 0
@@ -236,13 +244,13 @@ def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndar
     columns not yet evaluated hold junk, so a product's side counts only a
     crossing inside its own evaluated columns."""
     grid, o, basis = plan.grid, plan.grid.origin_index, plan.basis
-    slices = direct_slices(basis)
+    slices = direct_slices(basis, plan.product_rows)
     starts, stops = np.array([[s.start for s in slices], [s.stop - 1 for s in slices]])
     rngs = generators(seeds)
-    coefs = [coef for _, coef in direct_products(plan, rngs)]
+    coefs = [coef.copy() for _, coef in direct_products(plan, rngs)]
     xi = exceedances(plan, u, rngs)
     height = len(coefs[0])
-    rows = np.empty((len(coefs), height, grid.n))  # one (_DIRECT_ROWS, n) buffer per product
+    rows = np.empty((len(coefs), height, grid.n))  # one (height, n) buffer per product
     paths = rows.reshape(-1, grid.n)[: len(xi)]  # without the zero padding rows
     ends = np.full((len(coefs), 2), o // slices[0].stop)  # each product's first and last slice
     new, shift = [(p, ends[p, 0]) for p in range(len(coefs))], None
@@ -323,6 +331,26 @@ def median_excursion_length(
     return float(np.median(lengths))
 
 
+def _panel_rows(plan: SamplerPlan, u: float, cols: list[int], n: int, master_seed: int) -> np.ndarray:
+    """u * Z_t at the grid columns ``cols`` of n replicates of the path lane,
+    one row each.  Z_t = X_t - (R(t)/R(0)) * X_0 takes the same value on the
+    conditioned path as on the unconditional draw X it conditions, so each
+    replicate evaluates X only at the origin and ``cols``, by the direct sum
+    over the plan's band (sampling.direct_sum), and draws no exceedance: the
+    path's truncated normal comes after its normals, which are the
+    conditioned path's.  Blocks of _PANEL_BLOCK substreams are drawn on the
+    worker threads, since what remains is mostly normals, which release the
+    GIL."""
+    profile = plan.profile[cols]
+    basis = band_basis(plan.spectral_weights.size, plan.band, [plan.grid.origin_index, *cols])
+
+    def residuals(seeds: list[int]) -> np.ndarray:
+        x = direct_sum(plan, generators(seeds), basis)
+        return u * (x[:, 1:] - profile * x[:, :1])
+
+    return np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, _PANEL_BLOCK)))
+
+
 def covariance_panel(
     kernel: Kernel,
     u: float,
@@ -337,8 +365,8 @@ def covariance_panel(
     the exact finite_u_target u^2 * (R((s-t) d) - R(s d) R(t d) / R(0)),
     d = delta_u, which holds at any u because Z is independent of X_0.
 
-    Z_t = X_t - (R(t)/R(0)) * X_0 on the conditioned path; the panel times must
-    land on grid points.
+    Z_t = X_t - (R(t)/R(0)) * X_0 on the conditioned path (_panel_rows);
+    the panel times must land on grid points.
     """
     if n < 2:
         raise DomainError(f"a covariance estimate needs n >= 2 replicates, got {n}")
@@ -359,15 +387,7 @@ def covariance_panel(
         if not 0 <= indices[s] < grid.n:
             raise DomainError(f"panel time {s} * delta_u lies outside the window")
 
-    cols = [indices[s] for s in panel_times]
-    profile = plan.profile[cols]
-    draw = partial(sample_conditional_exceedance, plan, u)
-
-    def residuals(seeds: list[int]) -> np.ndarray:
-        paths = draw(seeds)
-        return u * (paths[:, cols] - profile * paths[:, origin, None])
-
-    rows = np.concatenate(list(plan_replicates(plan, residuals, n, master_seed, PATH_LANE)))
+    rows = _panel_rows(plan, u, [indices[s] for s in panel_times], n, master_seed)
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha

@@ -24,8 +24,8 @@ from excursions.cli import (
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_SYNTHESIS_ERROR,
-    _fmt,
     _parse_range,
+    _write_csv,
     build_parser,
     main,
 )
@@ -52,10 +52,20 @@ def test_parser_defaults_are_documented_values():
     assert a.range == "0:10:0.01"
 
 
-def test_fmt_round_trips_floats():
-    for x in (math.pi, 0.1, 1e-17, 12345.6789):
-        assert float(_fmt(x)) == x
-    assert _fmt(7) == "7"
+def test_csv_writes_floats_as_their_shortest_round_trip_text(tmp_path):
+    # every CSV the CLI writes holds each float as repr would write it, a
+    # numpy float64 included, so it parses back to the same bits, sign of zero
+    # and subnormals included
+    values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, math.pi, np.float64(0.1) * 3, np.float64(-2.5e-300)]
+    out = tmp_path / "floats.csv"
+    _write_csv(str(out), ["x", "k"], [(v, k) for k, v in enumerate(values)])
+    header, rows = _read_csv(out)
+    assert header == ["x", "k"]
+    assert [text for text, _ in rows] == [repr(float(v)) for v in values]
+    assert [k for _, k in rows] == [str(k) for k in range(len(values))]
+    for (text, _), v in zip(rows, values):
+        assert np.float64(text).tobytes() == np.float64(v).tobytes()
+    assert [text for text, _ in rows[:5]] == ["-0.0", "5e-324", "1e+16", "1e-05", "0.1"]
 
 
 def test_parse_range():

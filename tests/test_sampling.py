@@ -25,6 +25,7 @@ from excursions import (
     sample_conditional_exceedance,
     sample_truncated_normal,
     sample_unconditional,
+    sampling,
 )
 from excursions.sampling import (
     _STD_NORMAL,
@@ -32,8 +33,11 @@ from excursions.sampling import (
     _block_buffers,
     _next_smooth,
     _normal_tail,
+    band_basis,
+    band_split,
     circulant_draw,
     circulant_weights,
+    direct_sum,
 )
 from excursions.streams import generator, generators, replicates, substream_seed
 
@@ -225,10 +229,11 @@ def test_truncated_normal_domain_errors():
         sample_truncated_normal(-1.0, 1.0, 1)
 
 
-def test_concurrent_draws_keep_their_own_block_buffers():
+@pytest.mark.parametrize("alpha", [1.0, 2.0])  # FFT, direct sum
+def test_concurrent_draws_keep_their_own_block_buffers(alpha):
     # each thread refills its own block buffers, so threads drawing at once
     # get the numbers a lone caller gets
-    plan = build_sampler(make_kernel(1.0), Grid(0.01, 20.0))
+    plan = build_sampler(make_kernel(alpha), Grid(0.01, 20.0) if alpha == 1.0 else c2_grid(6.0))
     seeds = [substream_seed(3, 0, k) for k in range(4)]
     expected = sample_unconditional(plan, seeds)
     results = []
@@ -283,6 +288,27 @@ def test_a_band_draw_ignores_what_its_buffer_held():
         np.testing.assert_array_equal(got, expected)
 
 
+def test_a_direct_draw_ignores_what_its_buffers_held():
+    # a direct-sum product writes its thread's normals and coefficients whole
+    # before reading them, so neither a full-band draw nor nan left in the
+    # buffers moves a number
+    smooth = build_sampler(make_kernel(2.0), c2_grid(6.0))
+    heavy = build_sampler(make_kernel(0.75), heavy_tail_grid(make_kernel(0.75), 10.0))
+    seeds = [substream_seed(5, 0, k) for k in range(5)]
+    expected = _in_a_fresh_thread(partial(sample_unconditional, smooth, seeds))
+    cols = band_basis(heavy.spectral_weights.size, heavy.band, [0, heavy.grid.origin_index])
+
+    def after_other_draws():
+        direct_sum(heavy, generators(seeds), cols)
+        after_heavy = sample_unconditional(smooth, seeds)
+        for buffer in sampling._scratch.direct:
+            buffer.fill(np.nan)
+        return after_heavy, sample_unconditional(smooth, seeds)
+
+    for got in _in_a_fresh_thread(after_other_draws):
+        np.testing.assert_array_equal(got, expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     step=st.floats(min_value=0.005, max_value=0.8, allow_nan=False),
@@ -318,6 +344,69 @@ def test_either_engine_draws_what_the_fft_draws(step, arms, r0):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * math.sqrt(r0))
     alone = np.vstack([sample_unconditional(plan, seed) for seed in seeds])
     np.testing.assert_array_equal(got, alone)
+
+
+@given(half=st.integers(min_value=1, max_value=2**22), band=st.integers(min_value=0, max_value=2**22))
+@example(half=4000, band=4000)  # the full band of the default 8000-point heavy-tail circle
+@example(half=4000, band=3999)  # the widest partial band
+@example(half=1, band=0)
+def test_band_split_is_one_formula_over_partial_and_full_bands(half, band):
+    # a partial band splits as it always has, (band + 1, band); the full band
+    # of a size-point circle splits its M normals, in the same order, at M/2
+    # + 1, so circulant_draw fills the same modes with the same normals
+    size, band = 2 * half, min(band, half)
+    head, tail = band_split(size, band)
+    if 2 * band + 1 < size:
+        assert (head, tail) == (band + 1, band)
+    else:
+        assert (head, tail) == (half + 1, half - 1)
+    assert head + tail == min(2 * band + 1, size)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+def test_direct_sum_over_the_full_circle_draws_what_the_fft_draws(alpha):
+    # heavy-tail spectra keep every mode; summed directly over the whole
+    # circle at a few columns, a block's normals give the FFT's pairs there,
+    # whole products of one substream each, and each row its own block of one
+    kernel = make_kernel(alpha)
+    plan = build_sampler(kernel, heavy_tail_grid(kernel, 10.0))
+    m = plan.spectral_weights.size
+    assert 2 * plan.band + 1 >= m and plan.product_rows == 2
+    cols = np.random.default_rng(3).choice(plan.grid.n, size=7, replace=False)
+    basis = band_basis(m, plan.band, cols)
+    seeds = [substream_seed(11, 0, k) for k in range(5)]
+    got = direct_sum(plan, generators(seeds), basis)
+    want = circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, generators(seeds))[:, cols]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    alone = np.vstack([direct_sum(plan, generators(seed), basis) for seed in seeds])
+    np.testing.assert_array_equal(got, alone)
+
+
+def _row_by_row_basis(m, band, n):
+    # the reference: each row looked up in the twiddle table at k j mod m,
+    # the index advanced one row at a time
+    angle = (2.0 * math.pi / m) * np.arange(m)
+    cos, sin = np.cos(angle), np.sin(angle)
+    basis, index = np.empty((2 * (band + 1), n)), np.zeros(n, dtype=np.intp)
+    for k in range(band + 1):
+        basis[k], basis[band + 1 + k] = cos[index], sin[index]
+        index = (index + np.arange(n)) % m
+    return basis
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.75])
+def test_band_basis_holds_the_row_by_row_bits_at_any_columns(alpha):
+    # a few rows at a time on the whole grid, the whole band at once at a few
+    # columns: either way each entry is the reference's
+    kernel = make_kernel(alpha)
+    plan = build_sampler(kernel, c2_grid(6.0) if alpha == 2.0 else heavy_tail_grid(kernel, 10.0, 0.05))
+    m, n = plan.spectral_weights.size, plan.grid.n
+    want = _row_by_row_basis(m, plan.band, n)
+    np.testing.assert_array_equal(band_basis(m, plan.band, np.arange(n)), want)
+    cols = [0, 5, plan.grid.origin_index, n - 1, 5]
+    np.testing.assert_array_equal(band_basis(m, plan.band, cols), want[:, cols])
+    if plan.engine == "direct":
+        np.testing.assert_array_equal(plan.basis, want)
 
 
 @pytest.mark.parametrize("r0", [1e-300, 1e-200, 1e200, 1e300])

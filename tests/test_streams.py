@@ -190,7 +190,8 @@ def _outputs(tmp_path, n):
     window = heavy_tail_grid(k, 10.0, 0.02, 2.5)
     reports.append(run_verification(k, 10.0, window, n, 13, limit=limit_grid(0.02, 2.5)))
     out = [{key: v for key, v in r.to_dict().items() if key != "runtime_seconds"} for r in reports]
-    out.append(covariance_panel(k, 10.0, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)], n, 5150))
+    for alpha in (1.0, 0.75):  # the panel's blocks are drawn on the workers
+        out.append(covariance_panel(make_kernel(alpha), 10.0, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)], n, 5150))
     csv_path = tmp_path / f"paths-{n}.csv"
     assert main(["sample-paths", "--n", str(n // 10 + n % 2), "--out", str(csv_path)]) == EXIT_OK
     out.append(csv_path.read_text())

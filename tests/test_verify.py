@@ -467,7 +467,7 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
         scan = lambda seeds: crossing_bounds(grid, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
         exact = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, size, pooled=False)))
         np.testing.assert_array_equal(rows, exact)
-        assert window is None or len(sampling.direct_slices(plan.basis)) == 5
+        assert window is None or len(sampling.direct_slices(plan.basis, plan.product_rows)) == 5
     else:
         np.testing.assert_array_equal(rows, reference)
     if window is not None:
@@ -512,7 +512,7 @@ def test_default_smooth_lane_evaluates_only_the_slices_its_crossings_need(monkey
     # at most one more per side, yet the rows are those of the full draws
     k, g, n = make_kernel(2.0), c2_grid(6.0), 400
     plan = build_sampler(k, g)
-    slices = sampling.direct_slices(plan.basis)
+    slices = sampling.direct_slices(plan.basis, plan.product_rows)
     assert plan.engine == "direct" and [(s.start, s.stop) for s in slices][2] == (1424, 2136)
     scan = lambda seeds: crossing_bounds(g, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
     full = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, 4, pooled=False)))
@@ -602,6 +602,24 @@ def test_covariance_panel_matches_the_exact_finite_u_target():
         assert abs(row["empirical"] - row["finite_u_target"]) <= 3.0 * row["se"], row
     # at alpha = 1 the residuals on opposite sides of the origin are uncorrelated
     assert rows[2]["finite_u_target"] == 0.0
+
+
+@pytest.mark.parametrize("alpha,window", [(0.75, 50.0), (0.75, 20.0), (1.0, 20.0)])
+def test_panel_rows_are_the_conditioned_paths_residuals(alpha, window):
+    # the panel sums the unconditional draw at its columns alone and draws no
+    # exceedance, yet its rows are, to rounding, u * Z of the conditioned
+    # paths drawn whole by FFT; an odd n drops the last pair's second path
+    k, u, n = make_kernel(alpha), 10.0, 41
+    plan = build_sampler(k, heavy_tail_grid(k, u, 0.01, window))
+    o, step = plan.grid.origin_index, round(1.0 / 0.01)
+    cols = [o - step, o, o + step, o + 2 * step, plan.grid.n - 1]
+    draw = partial(sample_conditional_exceedance, plan, u)
+    paths = np.concatenate(list(replicates(draw, n, 1729, PATH_LANE, 3)))
+    want = u * (paths[:, cols] - plan.profile[cols] * paths[:, o, None])
+    got = verify._panel_rows(plan, u, cols, n, 1729)
+    assert got.shape == want.shape == (n, len(cols))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert (got[:, 1] == 0.0).all()
 
 
 def test_covariance_panel_rejects_offgrid_times():
