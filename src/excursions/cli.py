@@ -83,6 +83,14 @@ def _write_json(path: str, payload) -> None:
     FilePath(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_table(args, header: list[str], rows) -> None:
+    """Write rows to args.out as CSV, or under --format json as objects keyed by the header."""
+    if args.format == "json":
+        _write_json(args.out, [dict(zip(header, row)) for row in rows])
+    else:
+        _write_csv(args.out, header, rows)
+
+
 def _quantile_csv_path(out: str) -> str:
     p = FilePath(out)
     return str(p.with_name(p.stem + ".quantiles.csv"))
@@ -166,11 +174,7 @@ def cmd_limit_cdf(args) -> int:
     kernel = make_kernel(args.alpha, args.r0)
     params = C2LimitParams(kernel.r0, second_derivative_at_zero(kernel))
     xs = _parse_range(args.range)
-    rows = [(float(x), c2_limit_cdf(params, float(x))) for x in xs]
-    if args.format == "json":
-        _write_json(args.out, [{"x": x, "cdf": c} for x, c in rows])
-    else:
-        _write_csv(args.out, ["x", "cdf"], rows)
+    _write_table(args, ["x", "cdf"], [(float(x), c2_limit_cdf(params, float(x))) for x in xs])
     return EXIT_OK
 
 
@@ -187,10 +191,7 @@ def cmd_sample_paths(args) -> int:
         for i, path in enumerate(chain.from_iterable(blocks))
         for t, v in zip(times, path.tolist())
     )
-    if args.format == "json":
-        _write_json(args.out, [{"t": t, "value": v, "replicate": r} for t, v, r in rows])
-    else:
-        _write_csv(args.out, ["t", "value", "replicate"], rows)
+    _write_table(args, ["t", "value", "replicate"], rows)
     return EXIT_OK
 
 

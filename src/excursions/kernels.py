@@ -99,11 +99,11 @@ def pitman_ratio(k: Kernel, t: float) -> float:
     """(R(0) - R(t)) / (c_alpha * spectral_tail(k, 1/t)); tends to 1 as t -> 0.
 
     A finite-t diagnostic of the increment-variance / spectral-tail matching;
-    for this family it reduces to (1 - exp(-t**alpha)) / t**alpha.
+    for this family it reduces to -expm1(-t**alpha) / t**alpha, free of cancellation.
     """
     if k.alpha >= 2.0:
         raise NotHeavyTailError("pitman_ratio applies to the heavy-tail members only")
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t!r}")
     denom = c_alpha(k.alpha) * spectral_tail(k, 1.0 / t)
-    return (k.r0 - k.value(t)) / denom
+    return -k.r0 * math.expm1(-(t**k.alpha)) / denom

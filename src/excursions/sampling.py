@@ -21,9 +21,9 @@ direct sum when the band leaves part of the circle undrawn and the product
 over the whole grid is cheap against the FFT, as on every default
 smooth-regime grid; heavy-tail spectra keep every mode, so their plans
 transform.  The samplers here evaluate the whole grid.  verify's path lane
-evaluates only the slices its crossings need, each point with the bits it has
-here, and verify's covariance panel sums only at the few columns it reads, on
-any plan, since the FFT's cost does not shrink with the columns read.
+walks each side outward from the origin's slice only until its paths cross,
+each point with the bits it has here, and verify's covariance panel sums only
+at the columns it reads, on any plan, since the FFT's cost does not shrink.
 Samplers take a block of consecutive substream seeds (one seed is a block of
 one) and run batched FFTs in place along the rows of a reused per-thread
 buffer, or direct-sum products of a fixed shape; each substream keeps its own
@@ -99,9 +99,8 @@ _DIRECT_ROWS = 8
 # only contend for the CPU.  The basis is cut into column slices to keep each
 # product within it.
 _DIRECT_MACS = 2**18
-# Products per direct-sum block.  verify's path lane scans all of a block's
-# paths in each of its rounds, so the products share each round's fixed costs;
-# at 4001 points 4 products' rows take 1 MiB, about a third of it evaluated.
+# Products per direct-sum block, which verify's path lane walks side by side and
+# scans once; at 4001 points their rows take 1 MiB, about a third of it evaluated.
 _DIRECT_PRODUCTS = 4
 # Entries of the largest k j mod m index band_basis builds at once (128 KiB).
 _BASIS_INDEX = 2**14
@@ -442,8 +441,8 @@ def _truncated_std_normal(a: float, rng: np.random.Generator) -> float:
         # (1 - U) keeps the argument strictly positive, so the inverse stays finite
         return -_STD_NORMAL.inv_cdf((1.0 - rng.random()) * q)
     lam = 0.5 * (a + math.sqrt(a * a + 4.0))
-    if lam == math.inf:  # a * a overflowed: no draw would ever be accepted
-        raise DomainError(f"threshold u / sigma = {a!r} is too large to sample above; its square overflows")
+    if not lam < math.inf:  # a is nan, or a * a overflowed: no draw would ever be accepted
+        raise DomainError(f"threshold u / sigma = {a!r} is nan, or too large to sample above: its square overflows")
     while True:
         x = a + rng.standard_exponential() / lam
         # accept with probability exp(-(x - lam)^2 / 2)
@@ -457,8 +456,8 @@ def sample_truncated_normal(variance: float, u: float, seed) -> float:
     Inverse-CDF for u/sigma <= 2, shifted-exponential rejection above.  ``seed``
     may be an integer or a Generator (for callers drawing in bulk).
     """
-    if not variance > 0.0:
-        raise DomainError(f"variance must be positive, got {variance!r}")
+    if not 0.0 < variance < math.inf:
+        raise DomainError(f"variance must be positive and finite, got {variance!r}")
     [rng] = generators(seed)
     sigma = math.sqrt(variance)
     return sigma * _truncated_std_normal(u / sigma, rng)
@@ -489,8 +488,7 @@ def sample_conditional_exceedance(plan: SamplerPlan, u: float, seed) -> np.ndarr
     paths = _draw(plan, rngs)
     xi = exceedances(plan, u, rngs)
     origin = plan.grid.origin_index
-    for row, shift in zip(paths, xi - paths[:, origin]):  # in place, row by row: no block temporary
-        row += shift * plan.profile
+    paths += (xi - paths[:, origin])[:, None] * plan.profile
     paths[:, origin] = xi  # exact, guards the strict exceedance against roundoff
     return paths
 

@@ -5,17 +5,17 @@ independent draws: replicate i of a lane is half i % 2 of the pure substream
 (master, lane, i // 2), so a run of n replicates is the first n replicates of
 any longer run, and reports are bit-identical across repeats.  Replicates are
 drawn and scanned in blocks of consecutive substreams
-(sampling.plan_replicates).  Smooth-regime path lanes
-take the direct sum and draw their blocks on the calling thread, outward from
-the origin only as far as their crossings (_outward_intervals), with the
-numbers of a full draw.  At alpha = 1 both heavy-tail lanes are Markov: they
-walk their exact grid recursion outward from the origin, also only as far as
-their crossings, on the calling thread (_markov_lane).  The other heavy-tail
-path and limit lanes take the FFT and draw on streams.replicates' worker
-threads, one per usable CPU and at most 4.  The covariance panel draws its
-blocks on those threads too, but evaluates each draw only at its columns, by
-the direct sum over the whole band (_panel_rows).  Neither the block size nor
-the number of workers changes a number.
+(sampling.plan_replicates).  Smooth-regime path lanes take the direct sum on
+the calling thread, walk each side of a block outward from the origin's basis
+slice only until its paths cross, then scan once (_outward_intervals), with a
+full draw's numbers.  At alpha = 1 both heavy-tail lanes are Markov: they walk
+their exact grid recursion outward from the origin, also only as far as their
+crossings, on the calling thread (_markov_lane).  The other heavy-tail path and
+limit lanes take the FFT and draw on streams.replicates' worker threads, one
+per usable CPU and at most 4.  The covariance panel draws its blocks on those
+threads too, but evaluates each draw only at its columns, by the direct sum
+over the whole band (_panel_rows).  Neither the block size nor the number of
+workers changes a number.
 """
 
 from __future__ import annotations
@@ -236,41 +236,42 @@ def _markov_lane(walk: Callable, n: int, master_seed: int, lane: int) -> tuple[n
 
 def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndarray:
     """scan(seeds) of _path_intervals bit for bit on a direct plan, from only
-    the basis slices the crossings need: each product evaluates and conditions
-    the slice of direct_slices that holds the origin, then the next slice on
-    each side where one of its paths has not crossed, until every side has
-    crossed or reached the window's edge.  Each round scans every product's
-    paths at once, on the symmetric sub-grid over the longest evaluated side;
-    columns not yet evaluated hold junk, so a product's side counts only a
-    crossing inside its own evaluated columns."""
+    the basis slices the crossings need.  Each product evaluates and conditions
+    the slice of direct_slices that holds the origin.  Then each side is walked
+    outward in lockstep: the products with a path still above u there evaluate
+    and condition its next slice, until each path has a column at or below u on
+    the side or the walk reaches the window's edge.  One scan on the symmetric
+    sub-grid over the furthest side ends the block; each path crosses, or is
+    censored, before any column its product left unevaluated."""
     grid, o, basis = plan.grid, plan.grid.origin_index, plan.basis
     slices = direct_slices(basis, plan.product_rows)
-    starts, stops = np.array([[s.start for s in slices], [s.stop - 1 for s in slices]])
     rngs = generators(seeds)
     coefs = [coef.copy() for _, coef in direct_products(plan, rngs)]
     xi = exceedances(plan, u, rngs)
-    height = len(coefs[0])
-    rows = np.empty((len(coefs), height, grid.n))  # one (height, n) buffer per product
+    rows = np.empty((len(coefs), len(coefs[0]), grid.n))  # one (height, n) buffer per product
     paths = rows.reshape(-1, grid.n)[: len(xi)]  # without the zero padding rows
-    ends = np.full((len(coefs), 2), o // slices[0].stop)  # each product's first and last slice
-    new, shift = [(p, ends[p, 0]) for p in range(len(coefs))], None
-    while new:
-        for p, k in new:
-            np.matmul(coefs[p], basis[:, slices[k]], out=rows[p, :, slices[k]])
-        if shift is None:  # the first round evaluates the origin's slices
-            shift = (xi - paths[:, o])[:, None]
-        for p, k in new:
-            part = slice(height * p, height * (p + 1))
-            paths[part, slices[k]] += shift[part] * plan.profile[slices[k]]
-        paths[:, o] = xi
-        reach = np.column_stack((o - starts[ends[:, 0]], stops[ends[:, 1]] - o))  # evaluated points per side
-        r = max(reach.max(), 1)
-        found = crossing_bounds(Grid(grid.step, r * grid.step), paths[:, o - r : o + r + 1], u)
-        uncrossed = ~(np.abs(found[:, :2]) < np.repeat(reach, height, axis=0)[: len(xi)] * grid.step)
-        grow = np.logical_or.reduceat(uncrossed, range(0, len(xi), height)) & (ends != [0, len(slices) - 1])
-        ends += grow * [-1, 1]
-        new = [(p, ends[p, side]) for p, side in zip(*np.nonzero(grow))]
-    return found
+    h = o // slices[0].stop
+    home = slices[h]
+    shift = np.zeros(rows.shape[:2] + (1,))  # xi - X_0 per path, 0 on padding rows
+    shift.reshape(-1)[: len(xi)] = xi
+    for p in range(len(coefs)):  # product by product: no block-sized temporary
+        np.matmul(coefs[p], basis[:, home], out=rows[p, :, home])
+        shift[p] -= rows[p, :, o : o + 1]
+        rows[p, :, home] += shift[p] * plan.profile[home]
+    paths[:, o] = xi
+    real = (np.arange(shift.size) < len(xi)).reshape(shift.shape)  # not a padding row
+    r = 0  # evaluated points on the furthest side
+    for side, cols, last in ((-1, slice(home.start, o + 1), 0), (1, slice(o, home.stop), len(slices) - 1)):
+        k, above = h, real & (rows[:, :, cols] > u).all(axis=2, keepdims=True)  # above u on the side
+        while (live := np.flatnonzero(above.any(axis=1))).size and k != last:
+            k, cols = k + side, slices[k + side]
+            for p in live:
+                block = rows[p, :, cols]
+                np.matmul(coefs[p], basis[:, cols], out=block)
+                block += shift[p] * plan.profile[cols]
+                above[p] &= (block > u).all(axis=1, keepdims=True)
+        r = max(r, o - cols.start if side < 0 else cols.stop - 1 - o)
+    return crossing_bounds(Grid(grid.step, r * grid.step), paths[:, o - r : o + r + 1], u)
 
 
 def _limit_intervals(

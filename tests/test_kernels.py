@@ -201,6 +201,17 @@ def test_pitman_ratio_bounded_and_r0_free(alpha, t, r0):
     assert ratio == pytest.approx(pitman_ratio(make_kernel(alpha), t), rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [0.75, 1.5, 1.9])
+def test_pitman_ratio_keeps_its_digits_on_the_diagnostics_curve(alpha):
+    # R(0) - R(t) taken as r0 - R(t) cancels as t -> 0, to a relative error of
+    # 1.6e-11 at alpha = 1.5 and 4.3e-10 at 1.9 on the diagnostics curve's 25
+    # lags; -r0 expm1(-t**alpha) keeps every digit
+    k = make_kernel(alpha)
+    for t in np.geomspace(1.0, 1e-4, 25).tolist():
+        x = t**alpha
+        assert pitman_ratio(k, t) == pytest.approx(-math.expm1(-x) / x, rel=1e-14, abs=0.0), t
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_pitman_ratio_tends_to_one_at_short_lags(alpha):
     k = make_kernel(alpha)

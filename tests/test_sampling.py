@@ -1,11 +1,14 @@
 """Grid geometry, exact Gaussian path synthesis, and threshold conditioning."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +424,29 @@ def test_embeddings_do_not_depend_on_the_variance(r0):
         assert scaled.fro_error <= FACTOR_TOL
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "sample_truncated_normal(1.0, math.nan, 0)",
+        "sample_conditional_exceedance(build_sampler(make_kernel(2.0), c2_grid(6.0)), math.nan, 1729)",
+    ],
+)
+def test_nan_threshold_raises_instead_of_spinning(call):
+    # u / sigma = nan fails every acceptance test of the rejection branch, so a
+    # sampler that lets it through never returns: run the call in a child
+    # interpreter under a timeout, which fails the test instead of hanging it
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = f"import math\nfrom excursions import *\ntry:\n    {call}\nexcept DomainError as exc:\n    print(exc)\n"
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and "nan" in res.stdout, (res.stdout, res.stderr)
+
+
+def test_truncated_normal_rejects_an_infinite_variance():
+    with pytest.raises(DomainError, match="finite"):
+        sample_truncated_normal(math.inf, 1.0, 0)
+
+
 def test_truncated_normal_rejects_a_threshold_whose_square_overflows():
     # (u / sigma)**2 = inf leaves the rejection rate lam infinite, so no draw
     # would ever be accepted: the sampler must refuse instead of spinning
@@ -483,6 +509,21 @@ def test_conditional_exceedance_is_deterministic():
     np.testing.assert_array_equal(pair, again)
     assert pair.shape == (2, plan.grid.n)
     assert not np.array_equal(pair[0], pair[1])
+
+
+@pytest.mark.parametrize("alpha", [0.75, 2.0])
+def test_conditioning_by_broadcast_keeps_the_row_by_row_bits(alpha):
+    # the row-by-row form the sampler used before, kept as the reference, on an
+    # FFT plan and a direct one
+    plan = build_sampler(make_kernel(alpha), Grid(0.01, 2.0))
+    seeds, o = [substream_seed(1729, 0, k) for k in range(5)], plan.grid.origin_index
+    rngs = generators(seeds)
+    paths = sampling._draw(plan, rngs)
+    xi = sampling.exceedances(plan, 3.0, rngs)
+    for row, shift in zip(paths, xi - paths[:, o]):
+        row += shift * plan.profile
+    paths[:, o] = xi
+    np.testing.assert_array_equal(sample_conditional_exceedance(plan, 3.0, seeds), paths)
 
 
 def test_vacuous_conditioning_recovers_unconditional_law():

@@ -505,24 +505,71 @@ def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n):
     np.testing.assert_array_equal(lane, full)
 
 
+def _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, u, n):
+    """Run the smooth path lane on n replicates and check, block by block, that
+    its rows are the full conditioned draws' scan, and that each product
+    evaluates the origin's basis slice first, and on each side exactly the
+    slices up to its paths' furthest first point at or below u in the full
+    draws (the window's edge where a side is censored), each once.
+    np.matmul is recorded by coefficient matrix, which is one product's, and by
+    the basis column where its slice starts.  Returns the slices walked."""
+    grid, o, height = plan.grid, plan.grid.origin_index, plan.product_rows
+    slices = sampling.direct_slices(plan.basis, height)
+    width, h = slices[0].stop, o // slices[0].stop
+    base = plan.basis.__array_interface__["data"][0]
+    calls, walked, matmul, outward = [], [], np.matmul, verify._outward_intervals
+
+    def record(a, b, **kw):
+        calls.append((id(a), (b.__array_interface__["data"][0] - base) // b.itemsize // width))
+        return matmul(a, b, **kw)
+
+    def lane(plan, u, seeds):
+        full = sample_conditional_exceedance(plan, u, seeds)
+        calls.clear()
+        monkeypatch.setattr(np, "matmul", record)
+        rows = outward(plan, u, seeds)
+        monkeypatch.setattr(np, "matmul", matmul)
+        np.testing.assert_array_equal(rows, crossing_bounds(grid, full, u))
+        products = list(dict.fromkeys(a for a, _ in calls))  # in order: each evaluates the origin's slice first
+        below = full <= u
+        for p, product in enumerate(products):
+            part = below[height * p : height * (p + 1)]
+            # offset of each path's first point at or below u, o where it has none
+            left, right = (np.where(s.any(axis=1), s.argmax(axis=1), o).max() for s in (part[:, o::-1], part[:, o:]))
+            need = list(range((o - left) // width, (o + right) // width + 1))
+            assert sorted(k for a, k in calls if a == product) == need, (p, need)
+            assert calls[p] == (product, h)  # every product starts at the origin's slice
+            walked.append(need)
+        return rows
+
+    monkeypatch.setattr(verify, "_outward_intervals", lane)
+    verify._path_intervals(plan, u, n, 1729, PATH_LANE)
+    monkeypatch.undo()
+    assert len(walked) == -(-n // height)
+    return slices, walked
+
+
 def test_default_smooth_lane_evaluates_only_the_slices_its_crossings_need(monkeypatch):
     # at u = 6 each 8-row product's basis has 6 slices of 712 columns, the
     # origin's being [1424, 2136); no excursion at seed 1729 reaches more than
     # 617 points from the origin, so a product evaluates its origin's slice and
     # at most one more per side, yet the rows are those of the full draws
-    k, g, n = make_kernel(2.0), c2_grid(6.0), 400
-    plan = build_sampler(k, g)
-    slices = sampling.direct_slices(plan.basis, plan.product_rows)
-    assert plan.engine == "direct" and [(s.start, s.stop) for s in slices][2] == (1424, 2136)
-    scan = lambda seeds: crossing_bounds(g, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
-    full = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, 4, pooled=False)))
-    products, matmul = [], np.matmul
-    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: products.append(b.shape) or matmul(a, b, **kw))
-    rows = verify._path_intervals(plan, 6.0, n, 1729, PATH_LANE)[0]
-    monkeypatch.undo()
-    np.testing.assert_array_equal(rows, full)
-    per_product = len(products) / (n // 8)
-    assert 1.0 < per_product <= 3.0 < len(slices), per_product
+    plan = build_sampler(make_kernel(2.0), c2_grid(6.0))
+    assert plan.engine == "direct"
+    slices, walked = _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, 6.0, 400)
+    assert [(s.start, s.stop) for s in slices][2] == (1424, 2136)
+    assert 1 < max(map(len, walked)) <= 3 < len(slices)
+
+
+def test_smooth_lane_walks_a_censored_side_to_the_window_edge(monkeypatch):
+    # a 3/u window censors some paths: their products walk that side out to the
+    # window's edge, while the others still stop at their crossings
+    plan = build_sampler(make_kernel(2.0), c2_grid(6.0, 0.002, 3.0))
+    assert plan.engine == "direct"
+    slices, walked = _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, 6.0, 400)
+    edges = {0, len(slices) - 1}
+    assert any(edges & set(need) for need in walked)
+    assert not all(edges & set(need) for need in walked)
 
 
 def test_memory_stays_flat_in_the_run_size():
