@@ -9,9 +9,10 @@ Replicate i of a run is half i % 2 of the path pair drawn from substream
 i // 2 of its seed, drawn in blocks of consecutive substreams: by a direct sum
 over the spectral band on the calling thread in the smooth regime, by the exact
 Markov recursion on the calling thread at alpha = 1, and by FFT on a few worker
-threads (one per usable CPU, at most 4) at every other heavy-tail alpha.
-Neither the block size nor the number of workers changes a number (see
-verify).
+threads (one per usable CPU, at most 4) at every other heavy-tail alpha.  The
+covariance panel of diagnostics sums its direct-sum blocks on those worker
+threads too.  Neither the block size nor the number of workers changes a
+number (see verify).
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
 including a non-finite number), 3 censor budget exceeded, 4 covariance
@@ -32,12 +33,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from .errors import (
-    CensorBudgetExceeded,
-    DomainError,
-    ExcursionsError,
-    SynthesisError,
-)
+from .errors import CensorBudgetExceeded, DomainError, SynthesisError
 from .kernels import make_kernel, pitman_ratio, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf
 from .sampling import build_sampler, plan_replicates, sample_conditional_exceedance
@@ -274,7 +270,7 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS_ERROR
-    except (DomainError, ExcursionsError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception:

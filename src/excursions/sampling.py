@@ -25,10 +25,10 @@ walks each side outward from the origin's slice only until its paths cross,
 each point with the bits it has here, and verify's covariance panel sums only
 at the columns it reads, on any plan, since the FFT's cost does not shrink.
 Samplers take a block of consecutive substream seeds (one seed is a block of
-one) and run batched FFTs in place along the rows of a reused per-thread
-buffer, or direct-sum products of a fixed shape; each substream keeps its own
-generator, so neither the block size nor the thread that draws a block
-changes a number.
+one) and run one batched FFT in place along the rows of an array the block
+allocates, or direct-sum products of a fixed shape; each substream keeps its
+own generator, and no block shares a buffer with another, so neither the
+block size nor the thread that draws a block changes a number.
 The same FFT draws fractional Gaussian noise for the heavy-tail limit
 process.  A block is a (2 * substreams, grid.n) array, one path per row,
 a substream's pair on consecutive rows, with t = 0 at grid.origin_index.
@@ -40,7 +40,6 @@ R(t)/R(0), which reproduces the conditional law exactly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable
@@ -71,16 +70,11 @@ MAX_EMBED_SIZE = 2**23
 EIGENVALUE_TOL = 1e-12
 # Relative Frobenius error any accepted embedding must meet.
 FACTOR_TOL = 1e-8
-# Substreams per block: as many as fill this many bytes of complex circulant
-# rows (block_size), so a block's fixed costs, its crossing scan and its hand-off
-# to a worker thread, are shared by 4 path pairs on an 8000-point circulant.
+# Substreams per FFT block: as many as fill this many bytes of complex circulant
+# rows (block_size), the array the block transforms in place, so a block's fixed
+# costs, its crossing scan and its hand-off to a worker thread, are shared by 4
+# path pairs on an 8000-point circulant.
 _BLOCK_BYTES = 2**19
-# Bytes of complex rows a thread transforms at once, in place in its own reused
-# buffer: one 8000-point row, two 4000-point ones.  Four workers then hold
-# about 2 MiB of buffers and paths, and numpy's FFT scratch stays small enough
-# that glibc serves it from the heap instead of mapping and unmapping it per
-# call, on the 8000-point heavy-tail path plans and the 4000-point limit one.
-_FFT_BYTES = 2**17
 # The direct sum replaces the FFT when its 2 (K + 1) * n multiply-adds per row
 # are at most this many times M * ceil(log2 M) for an M-point circulant.  On
 # one thread the two cost the same per pair at a ratio of 5 to 7 for M from
@@ -99,9 +93,11 @@ _DIRECT_ROWS = 8
 # only contend for the CPU.  The basis is cut into column slices to keep each
 # product within it.
 _DIRECT_MACS = 2**18
-# Products per direct-sum block, which verify's path lane walks side by side and
-# scans once; at 4001 points their rows take 1 MiB, about a third of it evaluated.
-_DIRECT_PRODUCTS = 4
+# Substreams per direct-sum block: verify's path lane walks the block's 4
+# products side by side and scans once, their rows 1 MiB at 4001 points, about a
+# third of it evaluated; the covariance panel's blocks share a hand-off to a
+# worker among 16 substreams of normals.
+_DIRECT_BLOCK = 16
 # Entries of the largest k j mod m index band_basis builds at once (128 KiB).
 _BASIS_INDEX = 2**14
 
@@ -237,7 +233,7 @@ def circulant_weights(
 
 def block_size(weights: np.ndarray) -> int:
     """Substreams per block for draws embedded by ``weights``: as many as fill
-    _BLOCK_BYTES of complex buffer, and at least one."""
+    _BLOCK_BYTES of the complex array a block transforms, and at least one."""
     return max(1, _BLOCK_BYTES // (16 * weights.size))
 
 
@@ -249,48 +245,29 @@ def band_split(size: int, band: int) -> tuple[int, int]:
     return band + 1, min(band, size - band - 1)
 
 
-_scratch = threading.local()
-
-
-def _block_buffers(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The complex rows the FFT transforms in place, as many as fill
-    _FFT_BYTES, and for each row ``count`` real then ``count`` imaginary
-    normals; allocated once per lane and thread and refilled by every block,
-    so no draw faults in new pages.  No call reads a row it has not written
-    first, so none sees another's draws or transforms."""
-    rows = max(1, _FFT_BYTES // (16 * m))
-    buffers = getattr(_scratch, "buffers", None)
-    if buffers is None or buffers[0].shape != (rows, m) or buffers[1].shape != (rows, 2, count):
-        buffers = _scratch.buffers = (np.empty((rows, m), dtype=complex), np.empty((rows, 2, count)))
-    return buffers
-
-
 def circulant_draw(weights: np.ndarray, band: int, n: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """Two independent exact draws of the n-point vector embedded by ``weights``
     per generator, as a (2 * len(rngs), n) array: the real and imaginary parts
     of the FFT of one row of complex normals per generator (Wood & Chan 1994;
     Dietrich & Newsam 1997).  Each generator draws its real normals for the
     modes of the band (band_split) in ascending order, then its imaginary ones,
-    in one call; every other mode is zero.  One FFT along the rows serves each
-    buffer full of generators, and each step is one call for all its rows, so
-    worker threads contend for the GIL as seldom as the draws allow."""
+    in one call, into an array the block's generators fill in turn; every
+    other mode is zero.  The block's rows are one fresh array, which one FFT
+    transforms in place along them, so worker threads contend for the GIL as
+    seldom as the draws allow."""
     m = weights.size
     head, tail = band_split(m, band)
-    buffer, normals = _block_buffers(m, head + tail)
+    drawn = np.empty((2, head + tail))
+    z = np.zeros((len(rngs), m), dtype=complex)
+    for row, rng in zip(z, rngs):
+        rng.standard_normal(out=drawn)
+        row.real[:head], row.imag[:head] = drawn[0, :head], drawn[1, :head]
+        row.real[m - tail :], row.imag[m - tail :] = drawn[0, head:], drawn[1, head:]
+    for modes in (slice(0, head), slice(m - tail, m)):
+        z[:, modes] *= weights[modes]
+    y = np.fft.fft(z, axis=1, out=z)[:, :n]
     pairs = np.empty((2 * len(rngs), n))
-    for start in range(0, len(rngs), len(buffer)):
-        chunk = rngs[start : start + len(buffer)]
-        z, drawn = buffer[: len(chunk)], normals[: len(chunk)]
-        for row, rng in zip(drawn, chunk):
-            rng.standard_normal(out=row)
-        z[:, head : m - tail] = 0.0  # the buffer holds the last transform
-        z.real[:, :head], z.imag[:, :head] = drawn[:, 0, :head], drawn[:, 1, :head]
-        z.real[:, m - tail :], z.imag[:, m - tail :] = drawn[:, 0, head:], drawn[:, 1, head:]
-        for modes in (slice(0, head), slice(m - tail, m)):
-            z[:, modes] *= weights[modes]
-        y = np.fft.fft(z, axis=1, out=z)[:, :n]
-        out = pairs[2 * start : 2 * (start + len(chunk))]
-        out[0::2], out[1::2] = y.real, y.imag
+    pairs[0::2], pairs[1::2] = y.real, y.imag
     return pairs
 
 
@@ -336,17 +313,14 @@ def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]):
     weighted by its mode's weight, modes M - k are folded onto k, and coef (a
     short run padded with zero rows) times a basis slice is the run's pairs
     there.  Every product on a plan has the same height, so a row comes out
-    the same in any block.  The normals and coef are one pair of buffers per
-    thread, which every product writes whole before reading, so a caller that
-    keeps a coef past the next product copies it; reusing them spares glibc
-    trimming and refaulting the thread's heap at every product."""
+    the same in any block.  A call allocates its normals and coef once, and
+    every product writes them whole before reading, so a caller that keeps a
+    coef past the next product copies it."""
     weights, m = plan.spectral_weights, plan.spectral_weights.size
     head, tail = band_split(m, plan.band)
     height = plan.product_rows
     per_product = height // 2
-    drawn, coef = getattr(_scratch, "direct", (None, None))
-    if drawn is None or drawn.shape != (per_product, 2, head + tail) or coef.shape != (height, 2 * head):
-        drawn, coef = _scratch.direct = np.empty((per_product, 2, head + tail)), np.empty((height, 2 * head))
+    drawn, coef = np.empty((per_product, 2, head + tail)), np.empty((height, 2 * head))
     for start in range(0, len(rngs), per_product):
         chunk = rngs[start : start + per_product]
         for row, rng in zip(drawn, chunk):
@@ -407,11 +381,11 @@ def plan_replicates(
 ):
     """streams.replicates of draws on ``plan``, in blocks.  FFT blocks, of
     block_size of its weights, go to the worker pool.  Direct-sum blocks, of
-    _DIRECT_PRODUCTS whole products, stay on the calling thread, since a direct
-    block holds the GIL for most of its time."""
+    _DIRECT_BLOCK substreams, stay on the calling thread, since a direct block
+    holds the GIL for most of its time."""
     if plan.basis is None:
         return replicates(draw_block, n, master_seed, lane, block_size(plan.spectral_weights))
-    return replicates(draw_block, n, master_seed, lane, _DIRECT_PRODUCTS * _DIRECT_ROWS // 2, pooled=False)
+    return replicates(draw_block, n, master_seed, lane, _DIRECT_BLOCK, pooled=False)
 
 
 def sample_unconditional(plan: SamplerPlan, seed) -> np.ndarray:

@@ -4,9 +4,9 @@ Replicates come in blocks of consecutive substreams, each substream with its
 own generator, so neither the block size nor the number of worker threads that
 draw the blocks changes a number, only speed and memory.  Substream seeds are
 the keys numpy's SeedSequence derives, computed from a cached prefix of its
-mixing state.  Blocks drawn by FFT go to a small worker pool; direct-sum
-blocks (see sampling) and Markov walks (see crossings) stay on the calling
-thread.
+mixing state.  Blocks drawn by FFT and the covariance panel's direct-sum
+blocks go to a small worker pool; the path lanes' direct-sum blocks (see
+sampling) and Markov walks (see crossings) stay on the calling thread.
 """
 
 from __future__ import annotations

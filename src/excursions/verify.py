@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import sampling
 from .crossings import crossing_bounds, markov_intervals
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
@@ -89,10 +90,6 @@ LIMIT_GRID_HALF_WIDTH = 10.0
 # array operations are shared by many walks, few enough that walks which have
 # all crossed seldom wait long for the block's longest.
 _MARKOV_BLOCK = 32
-# Substreams per block of the covariance panel: each draws the normals of a
-# whole path, 40 000 on the 20 000-point circle of a 50 delta_u window, so a
-# block of 4 shares a hand-off to a worker among a few milliseconds of work.
-_PANEL_BLOCK = 4
 
 # Substream lanes, so path replicates and reference draws never collide.
 PATH_LANE = 0
@@ -339,9 +336,9 @@ def _panel_rows(plan: SamplerPlan, u: float, cols: list[int], n: int, master_see
     replicate evaluates X only at the origin and ``cols``, by the direct sum
     over the plan's band (sampling.direct_sum), and draws no exceedance: the
     path's truncated normal comes after its normals, which are the
-    conditioned path's.  Blocks of _PANEL_BLOCK substreams are drawn on the
-    worker threads, since what remains is mostly normals, which release the
-    GIL."""
+    conditioned path's.  Blocks of sampling._DIRECT_BLOCK substreams are drawn
+    on the worker threads, since what remains is mostly normals, which release
+    the GIL."""
     profile = plan.profile[cols]
     basis = band_basis(plan.spectral_weights.size, plan.band, [plan.grid.origin_index, *cols])
 
@@ -349,7 +346,7 @@ def _panel_rows(plan: SamplerPlan, u: float, cols: list[int], n: int, master_see
         x = direct_sum(plan, generators(seeds), basis)
         return u * (x[:, 1:] - profile * x[:, :1])
 
-    return np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, _PANEL_BLOCK)))
+    return np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, sampling._DIRECT_BLOCK)))
 
 
 def covariance_panel(

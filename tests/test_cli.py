@@ -30,7 +30,13 @@ from excursions.cli import (
     main,
 )
 import excursions
-from excursions import DomainError, sample_conditional_exceedance, sample_unconditional
+from excursions import (
+    DomainError,
+    EmptySampleError,
+    PreconditionError,
+    sample_conditional_exceedance,
+    sample_unconditional,
+)
 
 
 def _read_csv(path):
@@ -358,14 +364,17 @@ def test_threshold_too_large_to_sample_exits_config_error(tmp_path):
         assert not out.exists()
 
 
-def test_unexpected_exception_exits_internal_error_with_traceback(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("error", [RuntimeError, PreconditionError, EmptySampleError])
+def test_unexpected_exception_exits_internal_error_with_traceback(tmp_path, monkeypatch, capsys, error):
+    # no flag can raise a package error other than a domain, synthesis or
+    # censor-budget one, so any other is internal, like a RuntimeError
     def boom(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise error("boom")
 
     monkeypatch.setattr("excursions.cli.make_kernel", boom)
     assert main(["limit-cdf", "--out", str(tmp_path / "cdf.csv")]) == EXIT_INTERNAL_ERROR
     err = capsys.readouterr().err
-    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert "Traceback" in err and f"{error.__name__}: boom" in err
 
 
 # The package's public names: what the CLI, the tests and the README's library

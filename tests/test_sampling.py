@@ -33,7 +33,6 @@ from excursions import (
 from excursions.sampling import (
     _STD_NORMAL,
     FACTOR_TOL,
-    _block_buffers,
     _next_smooth,
     _normal_tail,
     band_basis,
@@ -233,9 +232,9 @@ def test_truncated_normal_domain_errors():
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])  # FFT, direct sum
-def test_concurrent_draws_keep_their_own_block_buffers(alpha):
-    # each thread refills its own block buffers, so threads drawing at once
-    # get the numbers a lone caller gets
+def test_concurrent_draws_get_the_numbers_a_lone_caller_gets(alpha):
+    # each draw allocates the arrays it fills, so threads drawing at once get
+    # the numbers a lone caller gets
     plan = build_sampler(make_kernel(alpha), Grid(0.01, 20.0) if alpha == 1.0 else c2_grid(6.0))
     seeds = [substream_seed(3, 0, k) for k in range(4)]
     expected = sample_unconditional(plan, seeds)
@@ -268,10 +267,9 @@ def _in_a_fresh_thread(fn):
 
 def test_a_band_draw_ignores_what_its_buffer_held():
     # a wide window at a coarse step: the band leaves most of the 800-point
-    # circle undrawn, yet is too wide for the direct sum, so the plan draws on
-    # the per-thread buffer that a heavy-tail plan of the same length fills in
-    # full; the modes outside the band must be zeros by construction, or an
-    # earlier draw's nan survives its zero weight
+    # circle undrawn, yet is too wide for the direct sum, so the plan transforms
+    # an array of the size a heavy-tail plan of the same length fills in full;
+    # the modes outside the band must be zeros whatever memory the array reuses
     smooth = build_sampler(make_kernel(2.0), c2_grid(6.0, step_factor=0.5, window_factor=100.0))
     heavy = build_sampler(make_kernel(1.0), Grid(0.01, 2.0))
     m = smooth.spectral_weights.size
@@ -283,18 +281,14 @@ def test_a_band_draw_ignores_what_its_buffer_held():
 
     def after_other_draws():
         sample_unconditional(heavy, seeds)
-        after_heavy = sample_unconditional(smooth, seeds)
-        _block_buffers(m, 4)[0].fill(np.nan)
-        return after_heavy, sample_unconditional(smooth, seeds)
+        return sample_unconditional(smooth, seeds)
 
-    for got in _in_a_fresh_thread(after_other_draws):
-        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(_in_a_fresh_thread(after_other_draws), expected)
 
 
 def test_a_direct_draw_ignores_what_its_buffers_held():
-    # a direct-sum product writes its thread's normals and coefficients whole
-    # before reading them, so neither a full-band draw nor nan left in the
-    # buffers moves a number
+    # a direct-sum product writes its normals and coefficients whole before
+    # reading them, so a full-band draw before it moves no number
     smooth = build_sampler(make_kernel(2.0), c2_grid(6.0))
     heavy = build_sampler(make_kernel(0.75), heavy_tail_grid(make_kernel(0.75), 10.0))
     seeds = [substream_seed(5, 0, k) for k in range(5)]
@@ -303,13 +297,9 @@ def test_a_direct_draw_ignores_what_its_buffers_held():
 
     def after_other_draws():
         direct_sum(heavy, generators(seeds), cols)
-        after_heavy = sample_unconditional(smooth, seeds)
-        for buffer in sampling._scratch.direct:
-            buffer.fill(np.nan)
-        return after_heavy, sample_unconditional(smooth, seeds)
+        return sample_unconditional(smooth, seeds)
 
-    for got in _in_a_fresh_thread(after_other_draws):
-        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(_in_a_fresh_thread(after_other_draws), expected)
 
 
 @settings(max_examples=40, deadline=None)

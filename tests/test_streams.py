@@ -119,7 +119,7 @@ def test_blocks_come_back_in_order_with_the_blocks_in_flight_bounded(monkeypatch
 
 def test_workers_switching_every_microsecond_draw_the_same_numbers(monkeypatch):
     # more workers than cores, and the interpreter switching threads as often
-    # as it can: each block must still fill its own thread's buffers (alpha =
+    # as it can: each block must still draw what one worker draws (alpha =
     # 0.75, since both alpha = 1 lanes walk on the calling thread)
     plan = build_sampler(make_kernel(0.75), Grid(0.01, 20.0))
     limit = limit_grid(0.02, 6.0)

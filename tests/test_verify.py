@@ -450,7 +450,7 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
         if weights is not None:
             monkeypatch.setattr(sampling, "_BLOCK_BYTES", block * 16 * weights.size)
             assert sampling.block_size(weights) == block
-        monkeypatch.setattr(sampling, "_DIRECT_PRODUCTS", block)  # products per direct block
+        monkeypatch.setattr(sampling, "_DIRECT_BLOCK", block)  # substreams per direct block
         monkeypatch.setattr(verify, "_MARKOV_BLOCK", block)  # substreams per Markov block
     rows = engine()
     assert rows.shape == (n, 3)
@@ -458,8 +458,8 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
         # the direct sum adds up the reference's normals on the grid instead of
         # transforming them, so it matches the per-pair FFT to rounding only
         # (9e-15 here); full draws, scanned whole in blocks of block_size
-        # substreams, must give the bits of the lane's blocks of 1, 3 or 4
-        # products
+        # substreams, must give the bits of the lane's blocks of 1, 3 or 16
+        # substreams
         np.testing.assert_allclose(rows, reference, rtol=0.0, atol=1e-12)
         plan = build_sampler(make_kernel(2.0), grid)
         assert plan.engine == "direct"
@@ -573,7 +573,7 @@ def test_smooth_lane_walks_a_censored_side_to_the_window_edge(monkeypatch):
 
 
 def test_memory_stays_flat_in_the_run_size():
-    # blocks reuse one buffer, so a run holds one block of paths at a time
+    # a run holds one block of paths at a time
     k, g = make_kernel(2.0), c2_grid(6.0)
     simulate_excursion_lengths(k, 6.0, g, 40, 1)  # warm-up
     peaks = {}
@@ -667,6 +667,27 @@ def test_panel_rows_are_the_conditioned_paths_residuals(alpha, window):
     assert got.shape == want.shape == (n, len(cols))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     assert (got[:, 1] == 0.0).all()
+
+
+@pytest.mark.parametrize("alpha", [0.75, 2.0])
+def test_panel_rows_do_not_depend_on_the_panel_block_size(monkeypatch, alpha):
+    # panel rows drawn in blocks of 1, 3 and 16 substreams are equal bit for
+    # bit: over a heavy-tail plan's whole circle each product holds one
+    # substream, over a smooth plan's band four, zero padded where a block
+    # ends mid-product
+    k = make_kernel(alpha)
+    u, grid = (10.0, heavy_tail_grid(k, 10.0)) if alpha < 2.0 else (6.0, c2_grid(6.0))
+    plan = build_sampler(k, grid)
+    assert plan.product_rows == (2 if alpha < 2.0 else 8)
+    o = plan.grid.origin_index
+    cols = [o - 100, o + 100, o + 200]
+    rows = []
+    for block in (1, 3, 16):
+        monkeypatch.setattr(sampling, "_DIRECT_BLOCK", block)
+        rows.append(verify._panel_rows(plan, u, cols, 41, 1729))
+    assert rows[0].shape == (41, 3)
+    for got in rows[1:]:
+        np.testing.assert_array_equal(got, rows[0])
 
 
 def test_covariance_panel_rejects_offgrid_times():
