@@ -6,13 +6,9 @@ one smooth exponent alpha = 2 and take no --alpha flag; verify-ht and
 diagnostics need --alpha < 2; sample-paths takes either.
 
 Replicate i of a run is half i % 2 of the path pair drawn from substream
-i // 2 of its seed, drawn in blocks of consecutive substreams: by a direct sum
-over the spectral band on the calling thread in the smooth regime, by the exact
-Markov recursion on the calling thread at alpha = 1, and by FFT on a few worker
-threads (one per usable CPU, at most 4) at every other heavy-tail alpha.  The
-covariance panel of diagnostics sums its direct-sum blocks on those worker
-threads too.  Neither the block size nor the number of workers changes a
-number (see verify).
+i // 2 of its seed, drawn in blocks of consecutive substreams, sized and
+threaded by the block rule in streams; neither the block size nor the number
+of worker threads changes a number.
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
 including a non-finite number), 3 censor budget exceeded, 4 covariance
@@ -36,7 +32,8 @@ import numpy as np
 from .errors import CensorBudgetExceeded, DomainError, SynthesisError
 from .kernels import make_kernel, pitman_ratio, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf
-from .sampling import build_sampler, plan_replicates, sample_conditional_exceedance
+from .sampling import block_size, build_sampler, sample_conditional_exceedance
+from .streams import replicates
 from .verify import (
     DEFAULT_STEP_FACTOR,
     PATH_LANE,
@@ -181,8 +178,8 @@ def cmd_sample_paths(args) -> int:
     plan = build_sampler(kernel, _path_grid(args, kernel))
     times = plan.grid.times().tolist()
     draw = partial(sample_conditional_exceedance, plan, args.u)
-    blocks = plan_replicates(plan, draw, args.n, args.seed, PATH_LANE)
-    rows = (  # drawn as they are written: one block of paths in memory at a time
+    blocks = replicates(draw, args.n, args.seed, PATH_LANE, block_size(plan.spectral_weights))
+    rows = (  # drawn as they are written: only the blocks in flight are in memory
         (t, v, i)
         for i, path in enumerate(chain.from_iterable(blocks))
         for t, v in zip(times, path.tolist())

@@ -86,12 +86,13 @@ def delta_u(k: Kernel, u: float) -> float:
         raise NotHeavyTailError("delta_u is a heavy-tail scale; alpha must be < 2")
     if not u > 0.0:
         raise DomainError(f"threshold u must be positive, got {u!r}")
+    inputs = f"alpha = {k.alpha!r}, r0 = {k.r0!r} and threshold u = {u!r}"
     try:
         scale = (c_alpha(k.alpha) / (k.r0 * u * u)) ** (1.0 / k.alpha)
     except (ZeroDivisionError, OverflowError):  # r0 * u**2 underflows to 0, or the scale overflows
-        raise DomainError(f"threshold u = {u!r} is too small for a finite delta_u") from None
+        raise DomainError(f"delta_u overflows at {inputs}: raise u or alpha") from None
     if not scale > 0.0:  # r0 * u**2 overflows, or the scale underflows
-        raise DomainError(f"threshold u = {u!r} is too large for a positive delta_u")
+        raise DomainError(f"delta_u underflows to 0 at {inputs}: lower u or raise alpha")
     return scale
 
 

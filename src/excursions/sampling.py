@@ -25,10 +25,11 @@ walks each side outward from the origin's slice only until its paths cross,
 each point with the bits it has here, and verify's covariance panel sums only
 at the columns it reads, on any plan, since the FFT's cost does not shrink.
 Samplers take a block of consecutive substream seeds (one seed is a block of
-one) and run one batched FFT in place along the rows of an array the block
-allocates, or direct-sum products of a fixed shape; each substream keeps its
-own generator, and no block shares a buffer with another, so neither the
-block size nor the thread that draws a block changes a number.
+one; block_size sizes a block by the rule in streams) and run one batched FFT
+in place along the rows of an array the block allocates, or direct-sum
+products of a fixed shape; each substream keeps its own generator, and no
+block shares a buffer with another, so neither the block size nor the thread
+that draws a block changes a number.
 The same FFT draws fractional Gaussian noise for the heavy-tail limit
 process.  A block is a (2 * substreams, grid.n) array, one path per row,
 a substream's pair on consecutive rows, with t = 0 at grid.origin_index.
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, SynthesisError
 from .kernels import Kernel
-from .streams import generators, replicates
+from .streams import generators
 
 __all__ = [
     "Grid",
@@ -70,11 +71,13 @@ MAX_EMBED_SIZE = 2**23
 EIGENVALUE_TOL = 1e-12
 # Relative Frobenius error any accepted embedding must meet.
 FACTOR_TOL = 1e-8
-# Substreams per FFT block: as many as fill this many bytes of complex circulant
-# rows (block_size), the array the block transforms in place, so a block's fixed
-# costs, its crossing scan and its hand-off to a worker thread, are shared by 4
-# path pairs on an 8000-point circulant.
-_BLOCK_BYTES = 2**19
+# Substreams per whole-row block: as many as fill this many bytes of complex
+# circulant rows (block_size), the array an FFT block transforms in place, so a
+# block's fixed costs, its crossing scan and its hand-off to a worker thread,
+# are shared by 16 path pairs on an 8000-point circulant.  At 512 KiB the heap
+# returned each block's arrays to the system and faulted them back in: 73k
+# minor faults in `verify-ht --alpha 0.75 --n 2000`, against 9k at 2 MiB.
+_BLOCK_BYTES = 2**21
 # The direct sum replaces the FFT when its 2 (K + 1) * n multiply-adds per row
 # are at most this many times M * ceil(log2 M) for an M-point circulant.  On
 # one thread the two cost the same per pair at a ratio of 5 to 7 for M from
@@ -93,11 +96,6 @@ _DIRECT_ROWS = 8
 # only contend for the CPU.  The basis is cut into column slices to keep each
 # product within it.
 _DIRECT_MACS = 2**18
-# Substreams per direct-sum block: verify's path lane walks the block's 4
-# products side by side and scans once, their rows 1 MiB at 4001 points, about a
-# third of it evaluated; the covariance panel's blocks share a hand-off to a
-# worker among 16 substreams of normals.
-_DIRECT_BLOCK = 16
 # Entries of the largest k j mod m index band_basis builds at once (128 KiB).
 _BASIS_INDEX = 2**14
 
@@ -232,8 +230,9 @@ def circulant_weights(
 
 
 def block_size(weights: np.ndarray) -> int:
-    """Substreams per block for draws embedded by ``weights``: as many as fill
-    _BLOCK_BYTES of the complex array a block transforms, and at least one."""
+    """Substreams per whole-row block for draws embedded by ``weights``, on
+    either engine: as many as fill _BLOCK_BYTES of the complex array an FFT
+    block transforms, and at least one."""
     return max(1, _BLOCK_BYTES // (16 * weights.size))
 
 
@@ -374,18 +373,6 @@ def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
     profile = kernel.value(grid.times()) / kernel.r0
     basis = band_basis(weights.size, band, np.arange(grid.n)) if _takes_direct_sum(weights.size, band, grid.n) else None
     return SamplerPlan(kernel, grid, gap, embed_factor, weights, band, profile, basis)
-
-
-def plan_replicates(
-    plan: SamplerPlan, draw_block: Callable[[list[int]], np.ndarray], n: int, master_seed: int, lane: int
-):
-    """streams.replicates of draws on ``plan``, in blocks.  FFT blocks, of
-    block_size of its weights, go to the worker pool.  Direct-sum blocks, of
-    _DIRECT_BLOCK substreams, stay on the calling thread, since a direct block
-    holds the GIL for most of its time."""
-    if plan.basis is None:
-        return replicates(draw_block, n, master_seed, lane, block_size(plan.spectral_weights))
-    return replicates(draw_block, n, master_seed, lane, _DIRECT_BLOCK, pooled=False)
 
 
 def sample_unconditional(plan: SamplerPlan, seed) -> np.ndarray:

@@ -4,9 +4,18 @@ Replicates come in blocks of consecutive substreams, each substream with its
 own generator, so neither the block size nor the number of worker threads that
 draw the blocks changes a number, only speed and memory.  Substream seeds are
 the keys numpy's SeedSequence derives, computed from a cached prefix of its
-mixing state.  Blocks drawn by FFT and the covariance panel's direct-sum
-blocks go to a small worker pool; the path lanes' direct-sum blocks (see
-sampling) and Markov walks (see crossings) stay on the calling thread.
+mixing state.
+
+Every lane follows one block rule with two cases.  A block that draws whole
+rows, by FFT or by direct sum (the heavy-tail path and limit lanes at alpha
+other than 1, sample-paths on either engine, the covariance panel), holds
+sampling.block_size(weights) substreams, as many as fill sampling._BLOCK_BYTES
+of its circulant: 16 path pairs on the default 8000-point circulant, 32 limit
+pairs on the 4000-point one, 6 panel substreams on the 20 000-point one.  It
+goes to the worker pool, since its normals and transforms release the GIL.  A
+walk (verify's outward smooth lane and its alpha = 1 Markov lanes) holds the
+GIL for most of its time, so it keeps the fixed count verify gives it and runs
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -144,7 +153,7 @@ def replicates(
     ``draw_block`` must then be safe to call from several threads; each call
     keeps its own generators, so every number is the same on any number of
     workers.  Without ``pooled``, blocks are drawn one at a time on the
-    calling thread, for draws that hold the GIL for most of a block.
+    calling thread: the walks of the block rule above.
     """
     if n < 1:
         raise DomainError(f"a run needs n >= 1 replicates, got n = {n}")

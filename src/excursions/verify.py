@@ -4,18 +4,15 @@ One master seed drives a run.  Every substream seed yields a pair of
 independent draws: replicate i of a lane is half i % 2 of the pure substream
 (master, lane, i // 2), so a run of n replicates is the first n replicates of
 any longer run, and reports are bit-identical across repeats.  Replicates are
-drawn and scanned in blocks of consecutive substreams
-(sampling.plan_replicates).  Smooth-regime path lanes take the direct sum on
-the calling thread, walk each side of a block outward from the origin's basis
-slice only until its paths cross, then scan once (_outward_intervals), with a
-full draw's numbers.  At alpha = 1 both heavy-tail lanes are Markov: they walk
-their exact grid recursion outward from the origin, also only as far as their
-crossings, on the calling thread (_markov_lane).  The other heavy-tail path and
-limit lanes take the FFT and draw on streams.replicates' worker threads, one
-per usable CPU and at most 4.  The covariance panel draws its blocks on those
-threads too, but evaluates each draw only at its columns, by the direct sum
-over the whole band (_panel_rows).  Neither the block size nor the number of
-workers changes a number.
+drawn and scanned in blocks of consecutive substreams, sized and threaded by
+the block rule in streams.  Smooth-regime path lanes take the direct sum and
+walk each side of a block outward from the origin's basis slice only until
+its paths cross, then scan once (_outward_intervals), with a full draw's
+numbers.  At alpha = 1 both heavy-tail lanes are Markov: they walk their exact
+grid recursion outward from the origin, also only as far as their crossings
+(_markov_lane).  The other heavy-tail path and limit lanes draw whole rows by
+FFT.  The covariance panel evaluates each draw only at its columns, by the
+direct sum over the whole band (_panel_rows).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sampling
 from .crossings import crossing_bounds, markov_intervals
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
@@ -45,7 +41,6 @@ from .sampling import (
     direct_slices,
     direct_sum,
     exceedances,
-    plan_replicates,
     sample_conditional_exceedance,
 )
 from .streams import generators, replicates, substream_seed
@@ -86,9 +81,13 @@ WINDOW_FACTOR = 20.0
 LIMIT_GRID_STEP = 0.01
 LIMIT_GRID_HALF_WIDTH = 10.0
 
-# Substreams per block of a Markov lane (_markov_lane): enough that a round's
-# array operations are shared by many walks, few enough that walks which have
-# all crossed seldom wait long for the block's longest.
+# Substreams per block of the two walks, drawn on the calling thread (see
+# streams).  The outward smooth lane (_outward_intervals) walks its 4 products
+# side by side and scans once, their rows 1 MiB at 4001 points, twice that at
+# 32.  A Markov lane (_markov_lane) shares each round's array operations among
+# many walks, few enough that walks which have all crossed seldom wait long for
+# the block's longest; at 16 both alpha = 1 lanes ran slower.
+_OUTWARD_BLOCK = 16
 _MARKOV_BLOCK = 32
 
 # Substream lanes, so path replicates and reference draws never collide.
@@ -164,19 +163,19 @@ def ks_two_sample(a: SampleSet, b: SampleSet) -> tuple[float, float]:
 def wasserstein1(a: SampleSet, b: SampleSet) -> float:
     """Mean absolute difference of order statistics.
 
-    For unequal sizes both samples are resampled onto the common quantile grid
-    (i + 1/2)/m, m = max(n_a, n_b), with the inverted-CDF (order statistic)
-    rule; for equal sizes this reduces to the plain sorted-difference mean.
+    Both samples are resampled onto the common quantile grid (i + 1/2)/m,
+    m = max(n_a, n_b), with the inverted-CDF (order statistic) rule; for equal
+    sizes this reduces to the plain sorted-difference mean.  The rule's
+    quantile of a sorted sample of size k at q is its order statistic
+    ceil(k q - 1), numpy's index, looked up directly: np.quantile spends
+    milliseconds where the lookup spends microseconds.
     """
     na, nb = a.values.size, b.values.size
     if na < 1 or nb < 1:
         raise EmptySampleError("wasserstein1 needs two non-empty samples")
-    if na == nb:
-        return float(np.mean(np.abs(a.values - b.values)))
     m = max(na, nb)
     q = (np.arange(m) + 0.5) / m
-    qa = np.quantile(a.values, q, method="inverted_cdf")
-    qb = np.quantile(b.values, q, method="inverted_cdf")
+    qa, qb = (s.values[np.ceil(s.values.size * q - 1.0).astype(np.intp)] for s in (a, b))
     return float(np.mean(np.abs(qa - qb)))
 
 
@@ -209,17 +208,19 @@ def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane:
     def scan(seeds: list[int]) -> np.ndarray:
         return crossing_bounds(plan.grid, sample_conditional_exceedance(plan, u, seeds), u)
 
-    blocks = scan if plan.basis is None else partial(_outward_intervals, plan, u)
-    rows = np.concatenate(list(plan_replicates(plan, blocks, n, master_seed, lane)))
+    if plan.basis is None:
+        blocks = replicates(scan, n, master_seed, lane, block_size(plan.spectral_weights))
+    else:
+        blocks = replicates(partial(_outward_intervals, plan, u), n, master_seed, lane, _OUTWARD_BLOCK, pooled=False)
+    rows = np.concatenate(list(blocks))
     return rows, _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band, plan.engine)
 
 
 def _markov_lane(walk: Callable, n: int, master_seed: int, lane: int) -> tuple[np.ndarray, dict]:
     """Interval rows of n replicates of a lane that walk(rngs) draws as
     (rows, normals drawn) for a block of generators, in blocks of
-    _MARKOV_BLOCK substreams on the calling thread, since a walk holds the GIL
-    for most of its time; and the lane's synthesis block, its engine and the
-    mean normals drawn per pair."""
+    _MARKOV_BLOCK substreams on the calling thread; and the lane's synthesis
+    block, its engine and the mean normals drawn per pair."""
     drawn = []
 
     def block(seeds: list[int]) -> np.ndarray:
@@ -336,9 +337,7 @@ def _panel_rows(plan: SamplerPlan, u: float, cols: list[int], n: int, master_see
     replicate evaluates X only at the origin and ``cols``, by the direct sum
     over the plan's band (sampling.direct_sum), and draws no exceedance: the
     path's truncated normal comes after its normals, which are the
-    conditioned path's.  Blocks of sampling._DIRECT_BLOCK substreams are drawn
-    on the worker threads, since what remains is mostly normals, which release
-    the GIL."""
+    conditioned path's."""
     profile = plan.profile[cols]
     basis = band_basis(plan.spectral_weights.size, plan.band, [plan.grid.origin_index, *cols])
 
@@ -346,7 +345,8 @@ def _panel_rows(plan: SamplerPlan, u: float, cols: list[int], n: int, master_see
         x = direct_sum(plan, generators(seeds), basis)
         return u * (x[:, 1:] - profile * x[:, :1])
 
-    return np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, sampling._DIRECT_BLOCK)))
+    size = block_size(plan.spectral_weights)
+    return np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, size)))
 
 
 def covariance_panel(

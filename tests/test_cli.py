@@ -338,6 +338,18 @@ def test_bad_input_exits_config_error_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("u", ["10", "0.1"], ids=["scale-underflows", "scale-overflows"])
+def test_a_small_alpha_is_named_when_delta_u_leaves_the_floats(tmp_path, capsys, u):
+    # at alpha = 0.001, (c_alpha / (r0 u**2))**1000 underflows at the default
+    # u and overflows at u = 0.1: the message names alpha, not u alone
+    out = tmp_path / "r.json"
+    assert main(["verify-ht", "--alpha", "0.001", "--u", u, "--n", "100", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "alpha = 0.001" in err and "r0 = 1.0" in err and f"threshold u = {float(u)!r}" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r0", ["1e-200", "1e200"])
 def test_extreme_variances_embed(tmp_path, r0):
     # the squared covariance row once underflowed (a division by zero, exit 5)

@@ -28,7 +28,6 @@ from excursions import (
 )
 from excursions import streams, verify
 from excursions.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
-from excursions.sampling import plan_replicates
 from excursions.streams import generator, replicates, substream_seed
 
 
@@ -143,24 +142,51 @@ def test_workers_switching_every_microsecond_draw_the_same_numbers(monkeypatch):
         np.testing.assert_array_equal(rows, reference)
 
 
-def test_direct_sum_blocks_stay_on_the_calling_thread(monkeypatch):
-    # a direct-sum block holds the GIL for most of its time, so only FFT
-    # blocks go to the pool
+def test_whole_row_blocks_go_to_the_pool_and_walks_stay_on_the_calling_thread(monkeypatch, tmp_path):
+    # the block rule: blocks that draw whole rows, on either engine, reach
+    # worker threads; the outward smooth walk and both Markov walks start no
+    # pool.  Every block derives its substream seeds on the thread that draws it.
     monkeypatch.setattr(streams, "_worker_count", lambda: 3)
-    threads = set()
+    threads, seed = set(), streams.substream_seed
 
-    def draw_block(seeds):
+    def recorded(*args):
         threads.add(threading.get_ident())
-        return np.zeros((2 * len(seeds), 1))
+        return seed(*args)
 
-    heavy = make_kernel(1.0)
-    for plan, pooled in (
-        (build_sampler(make_kernel(2.0), c2_grid(6.0)), False),
-        (build_sampler(heavy, heavy_tail_grid(heavy, 10.0)), True),
-    ):
-        threads.clear()
-        assert sum(len(b) for b in plan_replicates(plan, draw_block, 101, 1, 0)) == 101
-        assert (threading.get_ident() not in threads) == pooled, plan.engine
+    def paths(*flags):
+        assert main(["sample-paths", "--n", "101", *flags, "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+
+    monkeypatch.setattr(streams, "substream_seed", recorded)
+    here, k1, k2, k075 = threading.get_ident(), make_kernel(1.0), make_kernel(2.0), make_kernel(0.75)
+    whole_rows = {
+        "sample-paths direct": paths,
+        "sample-paths fft": lambda: paths("--alpha", "0.75", "--u", "10"),
+        "panel": lambda: covariance_panel(k075, 10.0, [(1.0, 1.0)], 101, 5),
+        "limit alpha 0.75": lambda: verify._limit_intervals(0.75, 1.0, limit_grid(), 101, 5, verify.LIMIT_LANE),
+    }
+    walks = {
+        "outward": lambda: verify._path_intervals(build_sampler(k2, c2_grid(6.0)), 6.0, 101, 5, verify.PATH_LANE),
+        "markov path": lambda: verify._path_intervals(
+            build_sampler(k1, heavy_tail_grid(k1, 10.0)), 10.0, 101, 5, verify.PATH_LANE
+        ),
+        "markov limit": lambda: verify._limit_intervals(1.0, 1.0, limit_grid(), 101, 5, verify.LIMIT_LANE),
+    }
+    for lanes, pooled in ((whole_rows, True), (walks, False)):
+        for name, run in lanes.items():
+            threads.clear()
+            run()
+            assert threads and (here not in threads) == pooled, name
+            assert pooled or threads == {here}, name
+
+
+def test_sample_paths_on_a_direct_plan_write_the_same_file_on_any_number_of_workers(monkeypatch, tmp_path):
+    # alpha = 2 plans sum directly; their whole-row blocks go to the pool too
+    files = []
+    for workers in (1, 3):
+        monkeypatch.setattr(streams, "_worker_count", lambda w=workers: w)
+        files.append(tmp_path / f"paths-{workers}.csv")
+        assert main(["sample-paths", "--n", "40", "--out", str(files[-1])]) == EXIT_OK
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_markov_lanes_start_no_worker_pool(monkeypatch):

@@ -174,6 +174,22 @@ def test_wasserstein_unequal_sizes_close_to_scipy():
     assert got == pytest.approx(ref, abs=0.02)
 
 
+@settings(max_examples=60, deadline=None)
+@given(na=st.integers(1, 3000), nb=st.integers(1, 3000), same=st.booleans())
+@example(na=5000, nb=5000, same=True)
+def test_wasserstein_matches_np_quantile_inverted_cdf_bit_for_bit(na, nb, same):
+    # order statistics looked up by index are np.quantile's inverted-CDF
+    # quantiles on the common grid; on equal sizes they are the sorted samples
+    rng = generator(substream_seed(107, na, nb))
+    a, b = make_sample_set(rng.standard_normal(na)), make_sample_set(rng.standard_exponential(na if same else nb))
+    m = max(a.values.size, b.values.size)
+    q = (np.arange(m) + 0.5) / m
+    qa, qb = (np.quantile(s.values, q, method="inverted_cdf") for s in (a, b))
+    assert wasserstein1(a, b) == float(np.mean(np.abs(qa - qb)))
+    if same:
+        assert wasserstein1(a, b) == float(np.mean(np.abs(a.values - b.values)))
+
+
 def test_wasserstein_hand_oracles():
     rng = generator(substream_seed(106, 0))
     a = rng.standard_normal(90)
@@ -447,11 +463,11 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
     # one substream's rounds at a time; the alpha = 0.75 lanes take the FFT
     grid, weights, engine, reference = _engine_and_reference(lane, window, n, 1729)
     if block is not None:
-        if weights is not None:
+        if weights is not None:  # whole-row blocks: the FFT lanes, the smooth lane's full draws
             monkeypatch.setattr(sampling, "_BLOCK_BYTES", block * 16 * weights.size)
             assert sampling.block_size(weights) == block
-        monkeypatch.setattr(sampling, "_DIRECT_BLOCK", block)  # substreams per direct block
-        monkeypatch.setattr(verify, "_MARKOV_BLOCK", block)  # substreams per Markov block
+        monkeypatch.setattr(verify, "_OUTWARD_BLOCK", block)  # substreams per outward walk
+        monkeypatch.setattr(verify, "_MARKOV_BLOCK", block)  # substreams per Markov walk
     rows = engine()
     assert rows.shape == (n, 3)
     if lane == "path-alpha2-u6":
@@ -484,23 +500,26 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
     u=st.floats(min_value=0.5, max_value=8.0, allow_nan=False),
     macs=st.sampled_from([sampling._DIRECT_MACS, 2**11]),
     n=st.integers(min_value=1, max_value=23),
+    block=st.sampled_from([1, 3, 16]),
 )
-@example(step=0.01, arms=400, r0=1.0, u=6.0, macs=2**11, n=23)  # direct, 201 slices
-@example(step=0.01, arms=400, r0=1.0, u=0.5, macs=2**11, n=23)  # direct, 2 of 23 censored
-@example(step=0.02, arms=400, r0=0.5, u=3.0, macs=sampling._DIRECT_MACS, n=9)  # FFT
-def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n):
+@example(step=0.01, arms=400, r0=1.0, u=6.0, macs=2**11, n=23, block=3)  # direct, 201 slices
+@example(step=0.01, arms=400, r0=1.0, u=0.5, macs=2**11, n=23, block=16)  # direct, 2 of 23 censored
+@example(step=0.02, arms=400, r0=0.5, u=3.0, macs=sampling._DIRECT_MACS, n=9, block=3)  # FFT
+def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n, block):
     # on any smooth plan and threshold, the path lane (outward from the origin
-    # on direct plans) gives the rows of the full conditioned draws' scan bit
-    # for bit, censored sides and nan lengths included; small products cut the
-    # basis into many slices
+    # on direct plans) in blocks of 1, 3 or 16 substreams gives the rows of the
+    # full conditioned draws' scan, one substream at a time, bit for bit,
+    # censored sides and nan lengths included; small products cut the basis
+    # into many slices
     kernel, grid = make_kernel(2.0, r0), Grid(step, step * arms)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "_DIRECT_MACS", macs)
         plan = build_sampler(kernel, grid)
-        size = sampling.block_size(plan.spectral_weights)
         draw = partial(sample_conditional_exceedance, plan, u)
-        blocks = replicates(lambda s: crossing_bounds(grid, draw(s), u), n, 99, PATH_LANE, size, pooled=False)
+        blocks = replicates(lambda s: crossing_bounds(grid, draw(s), u), n, 99, PATH_LANE, 1, pooled=False)
         full = np.concatenate(list(blocks))
+        patch.setattr(sampling, "_BLOCK_BYTES", block * 16 * plan.spectral_weights.size)  # FFT plans
+        patch.setattr(verify, "_OUTWARD_BLOCK", block)  # direct plans
         lane = verify._path_intervals(plan, u, n, 99, PATH_LANE)[0]
     np.testing.assert_array_equal(lane, full)
 
@@ -683,7 +702,8 @@ def test_panel_rows_do_not_depend_on_the_panel_block_size(monkeypatch, alpha):
     cols = [o - 100, o + 100, o + 200]
     rows = []
     for block in (1, 3, 16):
-        monkeypatch.setattr(sampling, "_DIRECT_BLOCK", block)
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", block * 16 * plan.spectral_weights.size)
+        assert sampling.block_size(plan.spectral_weights) == block
         rows.append(verify._panel_rows(plan, u, cols, 41, 1729))
     assert rows[0].shape == (41, 3)
     for got in rows[1:]:
