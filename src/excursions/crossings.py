@@ -1,9 +1,10 @@
-"""Excursion interval measurement on sampled paths, and on Markov walks drawn
-outward from the origin only as far as their crossings."""
+"""Excursion interval measurement on sampled paths, and the one walk that draws
+paths outward from the origin only as far as they cross (walk_intervals)."""
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +55,35 @@ def crossing_bounds(grid: Grid, values: np.ndarray, u: float) -> np.ndarray:
     return out.T.reshape(np.shape(values)[:-1] + (3,))
 
 
+def walk_intervals(
+    grid: Grid, level: float, values: np.ndarray, advance: Callable, width: int, first: int
+) -> np.ndarray:
+    """crossing_bounds rows, (units * paths, 3), of ``values``, a (units,
+    paths, grid.n) buffer filled outward from the origin only as far as its
+    paths cross.  Round k fills the offsets lo + 1 .. hi from the origin, hi =
+    first + k * width up to the window's edge and lo the previous hi (0 at
+    first): advance(open, lo, hi) writes them at least on each side of each
+    unit that open[unit, side] (left, right) marks, a side open while one of
+    the unit's paths is still above level there; no value past a path's first
+    crossing changes its row.  The origin column holds the start values after
+    the first round.  Once every side has closed or a round reaches the edge,
+    one scan of the symmetric sub-grid walked gives the whole window's rows:
+    each path crosses within it or is censored.
+    """
+    o = grid.origin_index
+    above = np.ones(values.shape[:2] + (2,), dtype=bool)  # (unit, path, side): nothing at or below level yet
+    reach = [min(hi, grid.arm) for hi in range(min(first, grid.arm), grid.arm + width, width)]
+    for lo, hi in zip([0, *reach], reach):
+        sides = above.any(axis=1)
+        advance(sides, lo, hi)
+        for side, cols in enumerate((slice(o - hi, o - lo), slice(o + lo + 1, o + hi + 1))):
+            live = np.flatnonzero(sides[:, side])
+            above[live, :, side] &= (values[live, :, cols] > level).all(axis=2)
+        if not above.any():
+            break
+    return crossing_bounds(Grid(grid.step, hi * grid.step), values[..., o - hi : o + hi + 1], level).reshape(-1, 3)
+
+
 def markov_intervals(
     grid: Grid,
     level: float,
@@ -63,50 +93,39 @@ def markov_intervals(
     drift: float,
     rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, int]:
-    """crossing_bounds rows of the walks x_(k+1) = decay * x_k + scale * z + drift
+    """walk_intervals rows of the walks x_(k+1) = decay * x_k + scale * z + drift
     from x_0 = start, one on each side of the origin of each of two draws per
-    generator (start[2 g] and start[2 g + 1] for rngs[g]), and the number of
-    normals drawn.
-
-    The walks advance outward MARKOV_CHUNK steps per round.  In each round every
-    generator with a side that has neither reached the level nor the window's
-    edge draws 4 * MARKOV_CHUNK normals in one call, shaped (draw, side, step)
-    with the left side first; the others draw nothing, and their walks read
-    inf from then on, past their crossings.  So a generator's draws depend on
-    its own walks only, never on the block it is in.  A chunk is summed by
-    doubling, adding decay**d times the partial sums d steps back for
-    d = 1, 2, 4, ..., then decay**k times the side's last value.  The rows are
-    those of the whole window's scan: the symmetric sub-grid over the rounds
-    drawn holds every side's first crossing, or reaches the window's edge.
+    generator (start[2 g] and start[2 g + 1] for rngs[g]), MARKOV_CHUNK steps
+    per round, and the number of normals drawn.  In a round every generator
+    with an open side draws 4 * MARKOV_CHUNK normals in one call, shaped (draw,
+    side, step) with the left side first, and writes all four walks; the others
+    draw nothing, so no generator's draws depend on the block it is in.  A
+    chunk is summed by doubling, adding decay**d times the partial sums d steps
+    back for d = 1, 2, 4, ..., then decay**k times the side's last value.
     """
-    count, chunk, edge = len(rngs), MARKOV_CHUNK, grid.arm
+    o, chunk = grid.origin_index, MARKOV_CHUNK
     powers = decay ** np.arange(1.0, chunk + 1)  # decay**k, k = 1..chunk
-    walks = [np.repeat(start, 2).reshape(count, 4, 1)]  # (generator, draw and side, step)
-    closed = np.zeros((count, 4), dtype=bool)
-    drawing = np.arange(count)  # generators with an open side
-    normals = 0
-    for done in range(0, edge, chunk):  # steps walked on each side so far
-        x = np.empty((drawing.size, 4, chunk))
+    values = np.empty((len(rngs), 2, grid.n))  # (generator, draw, grid point)
+    values[:, :, o] = start.reshape(-1, 2)
+    normals = []  # per round
+
+    def advance(sides: np.ndarray, lo: int, hi: int) -> None:
+        drawing = np.flatnonzero(sides.any(axis=1))
+        x = np.empty((drawing.size, 2, 2, chunk))  # (generator, draw, side, step)
         for row, g in zip(x, drawing):
             rngs[g].standard_normal(out=row)
-        normals += x.size
+        normals.append(x.size)
         x *= scale
         x += drift
         d = 1
         while d < chunk:
             x[..., d:] += powers[d - 1] * x[..., :-d]
             d *= 2
-        x += powers * walks[-1][drawing, :, -1:]
-        walks.append(np.full((count, 4, chunk), math.inf))
-        walks[-1][drawing] = x
-        closed[drawing] |= (x[..., : edge - done] <= level).any(axis=2)
-        drawing = np.flatnonzero(~closed.all(axis=1))
-        if not drawing.size:
-            break
-    r = min(chunk * (len(walks) - 1), edge)
-    walk = np.concatenate(walks, axis=2).reshape(2 * count, 2, -1)
-    paths = np.concatenate((walk[:, 0, r:0:-1], walk[:, 1, : r + 1]), axis=1)
-    return crossing_bounds(Grid(grid.step, r * grid.step), paths, level), normals
+        x += powers * values[:, :, [o - lo, o + lo]][drawing][..., None]
+        values[drawing, :, o - hi : o - lo] = x[:, :, 0, hi - lo - 1 :: -1]
+        values[drawing, :, o + lo + 1 : o + hi + 1] = x[:, :, 1, : hi - lo]
+
+    return walk_intervals(grid, level, values, advance, chunk, chunk), sum(normals)
 
 
 def c2_root_predictor(x0: float, xprime0: float, xsecond: float, u: float) -> float:

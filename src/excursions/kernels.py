@@ -34,7 +34,8 @@ class Kernel:
     def value(self, t):
         """R(t), vectorized; symmetric in t with R(0) = r0."""
         arr = np.asarray(t, dtype=float)
-        out = self.r0 * np.exp(-np.abs(arr) ** self.alpha)
+        with np.errstate(over="ignore"):  # R(t) is exactly 0 where |t|**alpha overflows
+            out = self.r0 * np.exp(-np.abs(arr) ** self.alpha)
         return float(out) if arr.ndim == 0 else out
 
 

@@ -2,37 +2,30 @@
 
 Sampling is exact for the grid law, never an approximating AR model:
 circulant embedding of the Toeplitz covariance, padded until the spectrum is
-non-negative and the realized covariance passes a Frobenius check.  At
-alpha = 1 the kernel r0 exp(-|t|) is an Ornstein-Uhlenbeck process, whose grid
-values are exactly an AR(1) chain, so verify's path lane walks that recursion
-outward from the origin instead (crossings.markov_intervals); every sampler
-here keeps the embedding.  One complex FFT yields two independent
-exact draws, its real and imaginary parts, so every substream seed gives a
-pair.  Eigenvalues at or below EIGENVALUE_TOL times the largest are clamped
-to zero, and normals are drawn only for the band of circular frequencies
-|k| <= K that keeps a nonzero weight: the exp(-t**2) kernel keeps a few dozen
-of its thousands of modes, the default heavy-tail embeddings keep them all.
+non-negative and the realized covariance passes a Frobenius check.  One
+complex FFT yields two independent exact draws, its real and imaginary parts,
+so every substream seed gives a pair.  Eigenvalues at or below
+EIGENVALUE_TOL times the largest are clamped to zero, and normals are drawn
+only for the band of circular frequencies |k| <= K that keeps a nonzero
+weight: the exp(-t**2) kernel keeps a few dozen of its thousands of modes,
+the default heavy-tail embeddings keep them all.
 A plan evaluates the same draw, from the same normals, in one of two ways.
 The FFT transforms the whole circle.  The direct sum (direct_sum) folds each
 mode M - k onto k and multiplies the band's coefficients into a cos/sin basis
-of grid columns, 2 (K + 1) rows, one column slice (direct_slices) at a time;
-it holds for any band, the whole circle included.  build_sampler picks the
-direct sum when the band leaves part of the circle undrawn and the product
-over the whole grid is cheap against the FFT, as on every default
-smooth-regime grid; heavy-tail spectra keep every mode, so their plans
-transform.  The samplers here evaluate the whole grid.  verify's path lane
-walks each side outward from the origin's slice only until its paths cross,
-each point with the bits it has here, and verify's covariance panel sums only
-at the columns it reads, on any plan, since the FFT's cost does not shrink.
+of grid columns, 2 (K + 1) rows, one column slice at a time, the slices
+(direct_slices) centred on the origin; it holds for any band.  build_sampler
+picks it when the band leaves part of the circle undrawn and the product over
+the whole grid is cheap against the FFT, as on every default smooth-regime
+grid; heavy-tail spectra keep every mode, so their plans transform.  The
+samplers here evaluate the whole grid; verify's walks and covariance panel
+evaluate only what they read.
 Samplers take a block of consecutive substream seeds (one seed is a block of
-one; block_size sizes a block by the rule in streams) and run one batched FFT
-in place along the rows of an array the block allocates, or direct-sum
-products of a fixed shape; each substream keeps its own generator, and no
-block shares a buffer with another, so neither the block size nor the thread
-that draws a block changes a number.
-The same FFT draws fractional Gaussian noise for the heavy-tail limit
-process.  A block is a (2 * substreams, grid.n) array, one path per row,
-a substream's pair on consecutive rows, with t = 0 at grid.origin_index.
+one; block_size sizes a block by the rule in streams); each substream keeps
+its own generator, and no block shares a buffer with another, so neither the
+block size nor the thread that draws a block changes a number.  A block is a
+(2 * substreams, grid.n) array, one path per row, a substream's pair on
+consecutive rows, with t = 0 at grid.origin_index.  The same FFT draws
+fractional Gaussian noise for the heavy-tail limit process.
 Conditioning on an origin exceedance replaces the origin coordinate by an
 independent truncated normal and propagates it along the regression profile
 R(t)/R(0), which reproduces the conditional law exactly.
@@ -300,10 +293,15 @@ def _takes_direct_sum(m: int, band: int, n: int) -> bool:
 def direct_slices(basis: np.ndarray, rows: int) -> list[slice]:
     """The column slices of ``basis`` (band_basis) that direct-sum products
     of ``rows`` rows evaluate, each within _DIRECT_MACS multiply-adds, so
-    OpenBLAS runs on the calling thread."""
+    OpenBLAS runs on the calling thread: the whole basis, or slices of one odd
+    width, one centred on the middle column (a grid's origin), so that a walk
+    outward from it advances both sides by the same offsets."""
     terms, n = basis.shape
     width = max(1, _DIRECT_MACS // (rows * terms))
-    return [slice(cols, min(cols + width, n)) for cols in range(0, n, width)]
+    if n > width:  # a basis no wider than one slice stays one slice
+        width -= 1 - width % 2
+    starts = range((n // 2 - width // 2) % width - width, n, width)
+    return [slice(max(cols, 0), min(cols + width, n)) for cols in starts if cols + width > 0]
 
 
 def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]):

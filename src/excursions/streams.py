@@ -13,9 +13,9 @@ sampling.block_size(weights) substreams, as many as fill sampling._BLOCK_BYTES
 of its circulant: 16 path pairs on the default 8000-point circulant, 32 limit
 pairs on the 4000-point one, 6 panel substreams on the 20 000-point one.  It
 goes to the worker pool, since its normals and transforms release the GIL.  A
-walk (verify's outward smooth lane and its alpha = 1 Markov lanes) holds the
-GIL for most of its time, so it keeps the fixed count verify gives it and runs
-on the calling thread.
+walk (crossings.walk_intervals: verify's smooth path lane and its alpha = 1
+lanes) holds the GIL for most of its time, so it keeps the fixed count verify
+gives it and runs on the calling thread.
 """
 
 from __future__ import annotations

@@ -5,14 +5,13 @@ independent draws: replicate i of a lane is half i % 2 of the pure substream
 (master, lane, i // 2), so a run of n replicates is the first n replicates of
 any longer run, and reports are bit-identical across repeats.  Replicates are
 drawn and scanned in blocks of consecutive substreams, sized and threaded by
-the block rule in streams.  Smooth-regime path lanes take the direct sum and
-walk each side of a block outward from the origin's basis slice only until
-its paths cross, then scan once (_outward_intervals), with a full draw's
-numbers.  At alpha = 1 both heavy-tail lanes are Markov: they walk their exact
-grid recursion outward from the origin, also only as far as their crossings
-(_markov_lane).  The other heavy-tail path and limit lanes draw whole rows by
-FFT.  The covariance panel evaluates each draw only at its columns, by the
-direct sum over the whole band (_panel_rows).
+the block rule in streams.  Two kinds of lane walk outward from the origin
+only as far as their paths cross (crossings.walk_intervals), with a full
+draw's numbers: the smooth-regime path lane over the direct sum's basis
+slices (_outward_intervals), and at alpha = 1 both heavy-tail lanes by their
+exact Markov recursion (_markov_lane).  The other heavy-tail lanes draw whole
+rows by FFT.  The covariance panel evaluates each draw only at its columns,
+by the direct sum over the whole band (_panel_rows).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .crossings import crossing_bounds, markov_intervals
+from .crossings import crossing_bounds, markov_intervals, walk_intervals
 from .errors import CensorBudgetExceeded, DomainError, EmptySampleError
 from .kernels import Kernel, c_alpha, delta_u, second_derivative_at_zero
 from .limit_law import C2LimitParams, c2_limit_cdf, c2_limit_quantile, c2_limit_sample
@@ -82,11 +81,11 @@ LIMIT_GRID_STEP = 0.01
 LIMIT_GRID_HALF_WIDTH = 10.0
 
 # Substreams per block of the two walks, drawn on the calling thread (see
-# streams).  The outward smooth lane (_outward_intervals) walks its 4 products
-# side by side and scans once, their rows 1 MiB at 4001 points, twice that at
-# 32.  A Markov lane (_markov_lane) shares each round's array operations among
-# many walks, few enough that walks which have all crossed seldom wait long for
-# the block's longest; at 16 both alpha = 1 lanes ran slower.
+# streams).  The smooth lane (_outward_intervals) holds its 4 products' rows,
+# 1 MiB at 4001 points, twice that at 32.  A Markov lane (_markov_lane) shares
+# each round's array operations among many walks, few enough that walks which
+# have all crossed seldom wait long for the block's longest; at 16 both
+# alpha = 1 lanes ran slower.
 _OUTWARD_BLOCK = 16
 _MARKOV_BLOCK = 32
 
@@ -94,7 +93,7 @@ _MARKOV_BLOCK = 32
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +191,10 @@ def _drop_censored(lengths: np.ndarray) -> tuple[np.ndarray, int]:
 def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> tuple[np.ndarray, dict]:
     """Interval rows (tau_minus, tau_plus, length) of n exactly conditioned
     paths on the plan's grid, drawn and scanned one block at a time, and the
-    lane's synthesis block.  Direct plans draw outward from the origin
+    lane's synthesis block.  Direct plans walk outward from the origin
     (_outward_intervals).  At alpha = 1 the path is an Ornstein-Uhlenbeck
-    process, so each side of it is walked outward from its origin value by its
-    exact grid recursion (_markov_lane)."""
+    process, so each side of it walks its exact grid recursion from the
+    origin value (_markov_lane)."""
     if plan.kernel.alpha == 1.0:
         decay = math.exp(-plan.grid.step)
         scale = math.sqrt(-plan.kernel.r0 * math.expm1(-2.0 * plan.grid.step))  # sqrt(r0 (1 - decay**2))
@@ -234,42 +233,36 @@ def _markov_lane(walk: Callable, n: int, master_seed: int, lane: int) -> tuple[n
 
 def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndarray:
     """scan(seeds) of _path_intervals bit for bit on a direct plan, from only
-    the basis slices the crossings need.  Each product evaluates and conditions
-    the slice of direct_slices that holds the origin.  Then each side is walked
-    outward in lockstep: the products with a path still above u there evaluate
-    and condition its next slice, until each path has a column at or below u on
-    the side or the walk reaches the window's edge.  One scan on the symmetric
-    sub-grid over the furthest side ends the block; each path crosses, or is
-    censored, before any column its product left unevaluated."""
-    grid, o, basis = plan.grid, plan.grid.origin_index, plan.basis
-    slices = direct_slices(basis, plan.product_rows)
+    the basis slices its crossings need: crossings.walk_intervals walks the
+    slices of direct_slices outward from the one centred on the origin.  Every
+    product evaluates and conditions the centre slice, whose origin column
+    gives X_0, then the next slice on each side where one of its paths is
+    still above u, each column with the bits of a full draw."""
+    grid, o, basis, height = plan.grid, plan.grid.origin_index, plan.basis, plan.product_rows
+    slices = direct_slices(basis, height)
+    centre = slices[len(slices) // 2]
     rngs = generators(seeds)
     coefs = [coef.copy() for _, coef in direct_products(plan, rngs)]
     xi = exceedances(plan, u, rngs)
-    rows = np.empty((len(coefs), len(coefs[0]), grid.n))  # one (height, n) buffer per product
-    paths = rows.reshape(-1, grid.n)[: len(xi)]  # without the zero padding rows
-    h = o // slices[0].stop
-    home = slices[h]
-    shift = np.zeros(rows.shape[:2] + (1,))  # xi - X_0 per path, 0 on padding rows
+    values = np.empty((len(coefs) * height // 2, 2, grid.n))  # (substream, draw, point), whole products
+    rows = values.reshape(len(coefs), height, grid.n)
+    shift = np.zeros((len(coefs), height, 1))  # xi, then xi - X_0, per path; 0 on padding rows
     shift.reshape(-1)[: len(xi)] = xi
-    for p in range(len(coefs)):  # product by product: no block-sized temporary
-        np.matmul(coefs[p], basis[:, home], out=rows[p, :, home])
-        shift[p] -= rows[p, :, o : o + 1]
-        rows[p, :, home] += shift[p] * plan.profile[home]
-    paths[:, o] = xi
-    real = (np.arange(shift.size) < len(xi)).reshape(shift.shape)  # not a padding row
-    r = 0  # evaluated points on the furthest side
-    for side, cols, last in ((-1, slice(home.start, o + 1), 0), (1, slice(o, home.stop), len(slices) - 1)):
-        k, above = h, real & (rows[:, :, cols] > u).all(axis=2, keepdims=True)  # above u on the side
-        while (live := np.flatnonzero(above.any(axis=1))).size and k != last:
-            k, cols = k + side, slices[k + side]
-            for p in live:
+
+    def advance(sides: np.ndarray, lo: int, hi: int) -> None:
+        live = np.logical_or.reduceat(sides, np.arange(0, len(sides), height // 2))  # (product, side)
+        spans = [slice(o - hi, o + hi + 1)] if lo == 0 else [slice(o - hi, o - lo), slice(o + lo + 1, o + hi + 1)]
+        for side, cols in enumerate(spans):  # the centre slice first, where every side is open
+            for p in np.flatnonzero(live[:, side]):
                 block = rows[p, :, cols]
                 np.matmul(coefs[p], basis[:, cols], out=block)
+                if lo == 0:
+                    shift[p] -= block[:, hi : hi + 1]
                 block += shift[p] * plan.profile[cols]
-                above[p] &= (block > u).all(axis=1, keepdims=True)
-        r = max(r, o - cols.start if side < 0 else cols.stop - 1 - o)
-    return crossing_bounds(Grid(grid.step, r * grid.step), paths[:, o - r : o + r + 1], u)
+        if lo == 0:
+            values[: len(rngs), :, o] = xi.reshape(-1, 2)  # exact, guards the strict exceedance against roundoff
+
+    return walk_intervals(grid, u, values[: len(rngs)], advance, centre.stop - centre.start, o - centre.start)
 
 
 def _limit_intervals(

@@ -36,6 +36,7 @@ from excursions import (
     PreconditionError,
     sample_conditional_exceedance,
     sample_unconditional,
+    sampling,
 )
 
 
@@ -147,7 +148,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 9
+    assert payload["schema_version"] == 10
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"] == {"grid_step_factor": 0.01, "window_factor": 20.0}
@@ -205,15 +206,21 @@ def test_grid_too_large_to_embed_exits_config_error(tmp_path, capsys, argv):
 def _sample_paths_peak(tmp_path, n):
     tracemalloc.start()
     try:
-        assert main(["sample-paths", "--n", str(n), "--out", str(tmp_path / f"p{n}.csv")]) == EXIT_OK
+        out = str(tmp_path / f"p{n}.csv")
+        assert main(["sample-paths", "--n", str(n), "--window-factor", "2", "--out", out]) == EXIT_OK
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_sample_paths_memory_does_not_grow_with_n(tmp_path):
-    # rows are written as each path pair is drawn, never collected
-    assert _sample_paths_peak(tmp_path, 40) - _sample_paths_peak(tmp_path, 4) <= 2 * 2**20
+def test_sample_paths_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # rows are written as each path pair is drawn, never collected: with one
+    # substream per block, runs of 20 and 200 substreams, both more than the
+    # blocks in flight, peak alike once a first run has warmed the caches
+    # (collected, the 401-point rows of 360 more paths would take about 20 MB)
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1)
+    _sample_paths_peak(tmp_path, 4)
+    assert _sample_paths_peak(tmp_path, 400) - _sample_paths_peak(tmp_path, 40) <= 2 * 2**20
 
 
 def test_verify_c2_reports_are_reproducible_minus_runtime(tmp_path):
@@ -374,6 +381,21 @@ def test_threshold_too_large_to_sample_exits_config_error(tmp_path):
         assert res.returncode == EXIT_CONFIG_ERROR, (argv, res.stderr)
         assert "threshold u" in res.stderr
         assert not out.exists()
+
+
+def test_sample_paths_on_a_grid_past_the_kernels_overflow_exits_ok_under_warnings_as_errors(tmp_path):
+    # at u = 1e-300 the grid's lags reach about 2e301, where |t|**2 overflows;
+    # R(t) is 0 there, and no numpy warning may end the run with a traceback
+    src = str(Path(excursions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "tiny.csv"
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "excursions.cli", "sample-paths", "--alpha", "2",
+         "--u", "1e-300", "--n", "3", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == EXIT_OK, res.stderr
+    assert out.exists()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, PreconditionError, EmptySampleError])

@@ -5,8 +5,9 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from excursions import (
@@ -24,6 +25,7 @@ from excursions import (
     sample_conditional_exceedance,
     sample_limit_length,
 )
+from excursions.crossings import walk_intervals
 from excursions.streams import replicates
 
 
@@ -108,6 +110,57 @@ def test_crossing_bounds_ordering_property(vals, u):
     higher = crossing_bounds(*_path(vals), u + 0.25)[2]
     if not (math.isnan(length) or math.isnan(higher)):
         assert higher <= length + 1e-12
+
+
+@st.composite
+def _walks(draw):
+    """(grid, full rows) of units of paths above level 0 at the origin: each
+    side of each path first reaches 0 or below at a drawn offset, or never
+    (censored), and takes any value past it."""
+    arm, units, paths = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    grid, o = Grid(0.25, 0.25 * arm), arm
+    full = draw(arrays(float, (units, paths, grid.n), elements=st.floats(-2.0, 2.0)))
+    ends = draw(arrays(int, (units, paths, 2), elements=st.integers(0, arm)))  # offset of the first crossing; 0: none
+    for (unit, path, side), end in np.ndenumerate(ends):
+        cols = slice(o + 1, o + (end or arm + 1)) if side else slice(o - (end or arm + 1) + 1, o)
+        full[unit, path, cols] = np.abs(full[unit, path, cols]) + 0.125  # above 0 before the crossing
+        if end:
+            full[unit, path, o + end if side else o - end] = -abs(full[unit, path, o + end if side else o - end])
+    full[:, :, o] = 1.0
+    return grid, full
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=_walks(), width=st.sampled_from([1, 7, 1000]), first=st.integers(0, 33))
+@example(walk=(Grid(1.0, 2.0), np.array([[[3.0, 2.0, 1.0, 0.0, -1.0]]])), width=1, first=1)  # left side censored
+@example(walk=(Grid(1.0, 2.0), np.array([[[3.0, 2.0, 1.0, 2.0, 3.0]]])), width=1, first=0)  # both sides censored
+def test_walk_scans_what_the_full_rows_scan(walk, width, first):
+    # an advance that copies the asked columns from precomputed rows gives the
+    # whole window's scan bit for bit, censored sides and nan lengths included,
+    # at round widths 1, 7 and past the window's edge; a side is asked for
+    # exactly while one of its unit's paths is still above the level on it
+    grid, full = walk
+    o, arm = grid.origin_index, grid.arm
+    below = full <= 0.0
+    crossed = np.stack([below[..., o::-1].any(axis=2), below[..., o:].any(axis=2)], axis=2)  # (unit, path, side)
+    ends = np.where(crossed, np.stack([below[..., o::-1].argmax(axis=2), below[..., o:].argmax(axis=2)], axis=2), arm + 1)
+    values = np.full_like(full, math.nan)  # whatever was never asked for reads nan
+    values[:, :, o] = full[:, :, o]
+    rounds = []
+
+    def advance(sides, lo, hi):
+        assert (lo, hi) == (rounds[-1][1] if rounds else 0, min(first + len(rounds) * width, arm))
+        rounds.append((lo, hi))
+        np.testing.assert_array_equal(sides, (ends > lo).any(axis=1))  # open: a path has not crossed by lo
+        assert sides.any()
+        for unit, side in zip(*np.nonzero(sides)):
+            cols = slice(o + lo + 1, o + hi + 1) if side else slice(o - hi, o - lo)
+            values[unit, :, cols] = full[unit, :, cols]
+
+    rows = walk_intervals(grid, 0.0, values, advance, width, first)
+    np.testing.assert_array_equal(rows, crossing_bounds(grid, full, 0.0).reshape(-1, 3))
+    lo, hi = rounds[-1]
+    assert hi == arm or (ends <= hi).all()  # the last round closed every side, or reached the edge
 
 
 def test_root_predictor_exact_parabola():

@@ -1,6 +1,7 @@
 """Covariance kernel family, tail constants, and excursion time scale."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ def test_kernel_symmetry_and_bounds(alpha, t):
     assert k.value(-t) == v
     assert 0.0 <= v <= 1.5  # may underflow to exactly zero at huge lags
     assert k.value(0.0) == 1.5
+
+
+def test_kernel_value_is_zero_without_warning_where_the_power_overflows():
+    # |t|**2 overflows past about 1.3e154; R(t) is exactly 0 there, with no
+    # overflow warning, which -W error::RuntimeWarning would turn into a crash
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_kernel(2.0).value(1e155) == 0.0
+        np.testing.assert_array_equal(make_kernel(2.0, 3.0).value(np.array([-1e300, 0.0, 1e155])), [0.0, 3.0, 0.0])
 
 
 @settings(max_examples=40, deadline=None)

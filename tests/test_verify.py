@@ -502,7 +502,7 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
     n=st.integers(min_value=1, max_value=23),
     block=st.sampled_from([1, 3, 16]),
 )
-@example(step=0.01, arms=400, r0=1.0, u=6.0, macs=2**11, n=23, block=3)  # direct, 201 slices
+@example(step=0.01, arms=400, r0=1.0, u=6.0, macs=2**11, n=23, block=3)  # direct, 267 slices of 3 columns
 @example(step=0.01, arms=400, r0=1.0, u=0.5, macs=2**11, n=23, block=16)  # direct, 2 of 23 censored
 @example(step=0.02, arms=400, r0=0.5, u=3.0, macs=sampling._DIRECT_MACS, n=9, block=3)  # FFT
 def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n, block):
@@ -526,20 +526,22 @@ def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n, block)
 
 def _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, u, n):
     """Run the smooth path lane on n replicates and check, block by block, that
-    its rows are the full conditioned draws' scan, and that each product
-    evaluates the origin's basis slice first, and on each side exactly the
-    slices up to its paths' furthest first point at or below u in the full
-    draws (the window's edge where a side is censored), each once.
-    np.matmul is recorded by coefficient matrix, which is one product's, and by
-    the basis column where its slice starts.  Returns the slices walked."""
+    its rows are the full conditioned draws' scan, that it evaluates only
+    slices of direct_slices, and that each product evaluates the centre slice
+    first, then exactly the slices out to its paths' furthest first point at or
+    below u on each side in the full draws (the window's edge where a side is
+    censored), each once.  np.matmul is recorded by coefficient matrix, which
+    is one product's, and by the slice whose columns it multiplies.  Returns
+    the slices and, per product, the indices of the slices it evaluated."""
     grid, o, height = plan.grid, plan.grid.origin_index, plan.product_rows
     slices = sampling.direct_slices(plan.basis, height)
-    width, h = slices[0].stop, o // slices[0].stop
+    index = {(s.start, s.stop): k for k, s in enumerate(slices)}
     base = plan.basis.__array_interface__["data"][0]
     calls, walked, matmul, outward = [], [], np.matmul, verify._outward_intervals
 
     def record(a, b, **kw):
-        calls.append((id(a), (b.__array_interface__["data"][0] - base) // b.itemsize // width))
+        start = (b.__array_interface__["data"][0] - base) // b.itemsize
+        calls.append((id(a), index[start, start + b.shape[1]]))  # a KeyError: not one of the slices
         return matmul(a, b, **kw)
 
     def lane(plan, u, seeds):
@@ -549,15 +551,15 @@ def _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, u, n):
         rows = outward(plan, u, seeds)
         monkeypatch.setattr(np, "matmul", matmul)
         np.testing.assert_array_equal(rows, crossing_bounds(grid, full, u))
-        products = list(dict.fromkeys(a for a, _ in calls))  # in order: each evaluates the origin's slice first
+        products = list(dict.fromkeys(a for a, _ in calls))  # in order: each evaluates the centre slice first
         below = full <= u
         for p, product in enumerate(products):
             part = below[height * p : height * (p + 1)]
             # offset of each path's first point at or below u, o where it has none
             left, right = (np.where(s.any(axis=1), s.argmax(axis=1), o).max() for s in (part[:, o::-1], part[:, o:]))
-            need = list(range((o - left) // width, (o + right) // width + 1))
+            need = [k for k, s in enumerate(slices) if s.stop > o - left and s.start <= o + right]
             assert sorted(k for a, k in calls if a == product) == need, (p, need)
-            assert calls[p] == (product, h)  # every product starts at the origin's slice
+            assert calls[p] == (product, len(slices) // 2)  # every product starts at the centre slice
             walked.append(need)
         return rows
 
@@ -569,15 +571,17 @@ def _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, u, n):
 
 
 def test_default_smooth_lane_evaluates_only_the_slices_its_crossings_need(monkeypatch):
-    # at u = 6 each 8-row product's basis has 6 slices of 712 columns, the
-    # origin's being [1424, 2136); no excursion at seed 1729 reaches more than
-    # 617 points from the origin, so a product evaluates its origin's slice and
-    # at most one more per side, yet the rows are those of the full draws
+    # at u = 6 each 8-row product's basis has 7 slices of at most 711 columns,
+    # the centre one [1645, 2356) reaching 355 points to each side of the
+    # origin; no excursion at seed 1729 reaches more than 617 points from it,
+    # so most products evaluate the centre slice alone and none more than one
+    # further slice per side, yet the rows are those of the full draws
     plan = build_sampler(make_kernel(2.0), c2_grid(6.0))
     assert plan.engine == "direct"
     slices, walked = _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, 6.0, 400)
-    assert [(s.start, s.stop) for s in slices][2] == (1424, 2136)
-    assert 1 < max(map(len, walked)) <= 3 < len(slices)
+    assert (slices[3].start, slices[3].stop) == (1645, 2356) and len(slices) == 7
+    assert 1 < max(map(len, walked)) <= 3
+    assert sum(len(need) == 1 for need in walked) > len(walked) / 2
 
 
 def test_smooth_lane_walks_a_censored_side_to_the_window_edge(monkeypatch):
@@ -739,7 +743,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 9
+    assert json.loads(payload)["schema_version"] == 10
     assert "delta_u" not in json.loads(payload)  # None fields are dropped
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
