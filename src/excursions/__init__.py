@@ -7,6 +7,12 @@ limit law, and the heavy-tail case alpha < 2, where they converge to the
 zero-hitting interval of a drifted fractional Brownian motion.
 """
 
+import os
+
+# No product here is large enough for OpenBLAS to thread (sampling._DIRECT_MACS),
+# yet it starts its thread pool when numpy loads; a value already set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .crossings import c2_root_predictor, crossing_bounds
 from .errors import (
     CensorBudgetExceeded,

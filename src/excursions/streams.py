@@ -11,11 +11,11 @@ rows, by FFT or by direct sum (the heavy-tail path and limit lanes at alpha
 other than 1, sample-paths on either engine, the covariance panel), holds
 sampling.block_size(weights) substreams, as many as fill sampling._BLOCK_BYTES
 of its circulant: 16 path pairs on the default 8000-point circulant, 32 limit
-pairs on the 4000-point one, 6 panel substreams on the 20 000-point one.  It
-goes to the worker pool, since its normals and transforms release the GIL.  A
-walk (crossings.walk_intervals: verify's smooth path lane and its alpha = 1
-lanes) holds the GIL for most of its time, so it keeps the fixed count verify
-gives it and runs on the calling thread.
+pairs on the 4000-point one, 163 panel substreams on the default panel's
+800-point one.  It goes to the worker pool, since its normals and transforms
+release the GIL.  A walk (crossings.walk_intervals: verify's smooth path lane
+and its alpha = 1 lanes) holds the GIL for most of its time, so it keeps the
+fixed count verify gives it and runs on the calling thread.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ only as far as their paths cross (crossings.walk_intervals), with a full
 draw's numbers: the smooth-regime path lane over the direct sum's basis
 slices (_outward_intervals), and at alpha = 1 both heavy-tail lanes by their
 exact Markov recursion (_markov_lane).  The other heavy-tail lanes draw whole
-rows by FFT.  The covariance panel evaluates each draw only at its columns,
-by the direct sum over the whole band (_panel_rows).
+rows by FFT.  The covariance panel evaluates each draw only at its columns, on
+the smallest grid that holds them, by the direct sum (_panel_rows).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ _MARKOV_BLOCK = 32
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +324,13 @@ def median_excursion_length(
 
 
 def _panel_rows(plan: SamplerPlan, u: float, cols: list[int], n: int, master_seed: int) -> np.ndarray:
-    """u * Z_t at the grid columns ``cols`` of n replicates of the path lane,
-    one row each.  Z_t = X_t - (R(t)/R(0)) * X_0 takes the same value on the
-    conditioned path as on the unconditional draw X it conditions, so each
-    replicate evaluates X only at the origin and ``cols``, by the direct sum
-    over the plan's band (sampling.direct_sum), and draws no exceedance: the
-    path's truncated normal comes after its normals, which are the
-    conditioned path's."""
+    """u * Z_t at the grid columns ``cols`` of n replicates of the path lane
+    on the plan's grid, one row each.  Z_t = X_t - (R(t)/R(0)) * X_0 takes the
+    same value on the conditioned path as on the unconditional draw X it
+    conditions, so each replicate evaluates X only at the origin and ``cols``,
+    by the direct sum over the plan's band (sampling.direct_sum), and draws no
+    exceedance: the path's truncated normal comes after its normals, which are
+    the conditioned path's."""
     profile = plan.profile[cols]
     basis = band_basis(plan.spectral_weights.size, plan.band, [plan.grid.origin_index, *cols])
 
@@ -356,29 +356,33 @@ def covariance_panel(
     the exact finite_u_target u^2 * (R((s-t) d) - R(s d) R(t d) / R(0)),
     d = delta_u, which holds at any u because Z is independent of X_0.
 
-    Z_t = X_t - (R(t)/R(0)) * X_0 on the conditioned path (_panel_rows);
-    the panel times must land on grid points.
+    Z_t = X_t - (R(t)/R(0)) * X_0 on the conditioned path (_panel_rows).
+    The panel times must land on points of ``grid``.  Paths are drawn on the
+    grid of its step that reaches the furthest of them (at least one step):
+    an exact embedding of any grid holding the panel's columns gives them the
+    same joint law, so no number depends on the window of ``grid``.
     """
     if n < 2:
         raise DomainError(f"a covariance estimate needs n >= 2 replicates, got {n}")
     d = delta_u(kernel, u)
     if grid is None:
         grid = heavy_tail_grid(kernel, u)
-    plan = build_sampler(kernel, grid)
-    origin = grid.origin_index
 
     panel_times = sorted({float(v) for pair in pairs for v in pair})
-    indices = {}
+    offsets = {}
     for s in panel_times:
         offset = s * d / grid.step
         idx = round(offset)
         if abs(offset - idx) > 1e-6:
             raise DomainError(f"panel time {s} * delta_u does not land on the grid")
-        indices[s] = origin + int(idx)
-        if not 0 <= indices[s] < grid.n:
+        if not 0 <= grid.origin_index + idx < grid.n:
             raise DomainError(f"panel time {s} * delta_u lies outside the window")
+        offsets[s] = idx
 
-    rows = _panel_rows(plan, u, [indices[s] for s in panel_times], n, master_seed)
+    arm = max([1, *map(abs, offsets.values())])
+    plan = build_sampler(kernel, Grid(grid.step, arm * grid.step))
+    assert plan.grid.arm == arm, (plan.grid, arm)
+    rows = _panel_rows(plan, u, [arm + offsets[s] for s in panel_times], n, master_seed)
     col_of = {s: k for k, s in enumerate(panel_times)}
     c = c_alpha(kernel.alpha)
     a = kernel.alpha
@@ -479,13 +483,12 @@ def _censoring(intervals: np.ndarray, grid: Grid) -> dict:
     when it reaches 1."""
     edge = grid.arm * grid.step  # == grid.times()[-1]
     reach = np.abs(intervals[:, :2]) / edge
-    furthest = reach.max(axis=1)
-    quantiles = np.quantile(furthest, list(REACH_QUANTILES.values()))
+    furthest = np.sort(reach.max(axis=1))
     return {
         "censored_left": int(np.count_nonzero(reach[:, 0] >= 1.0)),
         "censored_right": int(np.count_nonzero(reach[:, 1] >= 1.0)),
-        **{key: float(q) for key, q in zip(REACH_QUANTILES, quantiles)},
-        "reach_max": float(furthest.max()),
+        **{key: _quantile(furthest, q) for key, q in REACH_QUANTILES.items()},
+        "reach_max": float(furthest[-1]),
     }
 
 
@@ -504,22 +507,24 @@ def _synthesis(weights: np.ndarray, fro_error: float, embed_factor: int, band: i
     }
 
 
+def _quantile(x: np.ndarray, q: float) -> float:
+    """np.quantile(x, q) of sorted values x, bit for bit, by numpy's default
+    linear rule, without the numpy.ma import np.quantile brings."""
+    v = (x.size - 1) * q
+    lo = math.floor(v)
+    a, b, g = x[lo], x[min(lo + 1, x.size - 1)], v - lo
+    return float(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+
+
 def _sample_quantile(s: SampleSet, p: float) -> float:
-    return float(np.quantile(s.values, p))
+    return _quantile(s.values, p)
 
 
 def _versions() -> dict:
-    """Package and numpy versions from the installed distributions; a source
-    tree that was never installed reports the package's own __version__."""
-    from importlib.metadata import PackageNotFoundError, version
-
+    """The package's and numpy's own __version__, without importlib.metadata."""
     from . import __version__
 
-    try:
-        package = version("excursions")
-    except PackageNotFoundError:
-        package = __version__
-    return {"excursions": package, "numpy": version("numpy")}
+    return {"excursions": __version__, "numpy": np.__version__}
 
 
 def run_verification(

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -148,7 +149,7 @@ def test_verify_c2_writes_self_describing_report(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert code == (EXIT_OK if payload["passed"] else EXIT_ACCEPTANCE_FAILED)
-    assert payload["schema_version"] == 10
+    assert payload["schema_version"] == 11
     assert payload["config"]["n"] == 150
     assert payload["config"]["master_seed"] == 2023
     assert payload["config"]["cli"] == {"grid_step_factor": 0.01, "window_factor": 20.0}
@@ -486,6 +487,28 @@ for argv, codes in runs:
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
+
+
+def test_package_version_is_the_one_pyproject_declares():
+    # reports echo excursions.__version__, so it must track the distribution's
+    # version; read by regex, since Python 3.10 has no tomllib
+    text = (Path(excursions.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    [declared] = re.findall(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert excursions.__version__ == declared
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_importing_the_package_pins_openblas_to_one_thread_unless_set(tmp_path, preset):
+    # a fresh interpreter, so that excursions loads numpy; a value the user set wins
+    src = str(Path(excursions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = "import os, sys, excursions; assert 'numpy' in sys.modules; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == (preset or "1")
 
 
 def test_cli_commands_run_without_importing_scipy(tmp_path):

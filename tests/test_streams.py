@@ -161,7 +161,8 @@ def test_whole_row_blocks_go_to_the_pool_and_walks_stay_on_the_calling_thread(mo
     whole_rows = {
         "sample-paths direct": paths,
         "sample-paths fft": lambda: paths("--alpha", "0.75", "--u", "10"),
-        "panel": lambda: covariance_panel(k075, 10.0, [(1.0, 1.0)], 101, 5),
+        # the panel's 201-point grid embeds in 400 points, 327 substreams a block
+        "panel": lambda: covariance_panel(k075, 10.0, [(1.0, 1.0)], 801, 5),
         "limit alpha 0.75": lambda: verify._limit_intervals(0.75, 1.0, limit_grid(), 101, 5, verify.LIMIT_LANE),
     }
     walks = {
@@ -216,8 +217,8 @@ def _outputs(tmp_path, n):
     window = heavy_tail_grid(k, 10.0, 0.02, 2.5)
     reports.append(run_verification(k, 10.0, window, n, 13, limit=limit_grid(0.02, 2.5)))
     out = [{key: v for key, v in r.to_dict().items() if key != "runtime_seconds"} for r in reports]
-    for alpha in (1.0, 0.75):  # the panel's blocks are drawn on the workers
-        out.append(covariance_panel(make_kernel(alpha), 10.0, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)], n, 5150))
+    for alpha in (1.0, 0.75):  # the panel's blocks are drawn on the workers, 2 n spans two blocks of 163
+        out.append(covariance_panel(make_kernel(alpha), 10.0, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)], 2 * n, 5150))
     csv_path = tmp_path / f"paths-{n}.csv"
     assert main(["sample-paths", "--n", str(n // 10 + n % 2), "--out", str(csv_path)]) == EXIT_OK
     out.append(csv_path.read_text())

@@ -156,6 +156,16 @@ def test_ks_two_sample_null_calibration():
     assert hits >= 96
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+    st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 0.999, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_quantile_is_numpys_linear_rule_bit_for_bit(values, q):
+    x = np.sort(np.asarray(values))
+    assert verify._quantile(x, q) == float(np.quantile(x, q))
+
+
 def test_wasserstein_equal_sizes_matches_scipy():
     rng = generator(substream_seed(103, 0))
     a = rng.standard_normal(400)
@@ -714,6 +724,63 @@ def test_panel_rows_do_not_depend_on_the_panel_block_size(monkeypatch, alpha):
         np.testing.assert_array_equal(got, rows[0])
 
 
+_PANEL_PAIRS = [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
+def test_covariance_panel_does_not_depend_on_the_window(alpha):
+    # the panel draws on the smallest grid that holds its times, so windows of
+    # 3, 20 and 50 delta_u at one step give the same numbers bit for bit
+    k, u = make_kernel(alpha), 10.0
+    panels = [covariance_panel(k, u, _PANEL_PAIRS, 101, 1729, heavy_tail_grid(k, u, 0.01, w)) for w in (3.0, 20.0, 50.0)]
+    assert panels[0] == panels[1] == panels[2]
+
+
+@pytest.mark.parametrize("pairs,arm", [(_PANEL_PAIRS, 200), ([(-1.5, 0.5)], 150), ([(0.0, 0.0)], 1)])
+def test_covariance_panel_plan_spans_its_furthest_time(monkeypatch, pairs, arm):
+    # the plan's grid keeps the step and reaches the furthest panel time, and
+    # at least one step when every time is the origin
+    k, u = make_kernel(0.75), 10.0
+    grid, plans = heavy_tail_grid(k, u), []
+
+    def recorded(*args):
+        plans.append(build_sampler(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(verify, "build_sampler", recorded)
+    covariance_panel(k, u, pairs, 21, 1729, grid)
+    [plan] = plans
+    assert plan.grid.step == grid.step and plan.grid.n == 2 * arm + 1
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0])
+def test_covariance_panel_rows_are_the_residuals_of_paths_drawn_whole_on_its_grid(monkeypatch, alpha):
+    # on a 50 delta_u window the panel's rows are still, to rounding, u * Z of
+    # conditioned paths drawn whole by FFT on its own 401-point grid
+    k, u, n = make_kernel(alpha), 10.0, 41
+    grid = heavy_tail_grid(k, u, 0.01, 50.0)
+    panel_rows, seen = verify._panel_rows, []
+
+    def recorded(*args):
+        seen.append(panel_rows(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(verify, "_panel_rows", recorded)
+    rows = covariance_panel(k, u, _PANEL_PAIRS, n, 1729, grid)
+    own = build_sampler(k, Grid(grid.step, 200 * grid.step))
+    o = own.grid.origin_index
+    col = {-1.0: o - 100, 1.0: o + 100, 2.0: o + 200}
+    paths = np.concatenate(list(replicates(partial(sample_conditional_exceedance, own, u), n, 1729, PATH_LANE, 3)))
+    want = u * (paths[:, list(col.values())] - own.profile[list(col.values())] * paths[:, o, None])
+    [got] = seen
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    scale = float(np.var(want, ddof=1, axis=0).max())
+    index = {t: j for j, t in enumerate(col)}
+    for row, (s, t) in zip(rows, _PANEL_PAIRS):
+        cov = np.cov(want[:, index[s]], want[:, index[t]], ddof=1)[0, 1]
+        assert row["empirical"] == pytest.approx(cov, rel=1e-12, abs=1e-12 * scale)
+
+
 def test_covariance_panel_rejects_offgrid_times():
     k = make_kernel(1.0)
     d = delta_u(k, 10.0)
@@ -743,7 +810,7 @@ def test_run_verification_c2_report_contract():
     assert report.config["note"] == "unit"
     assert report.config["censor_budget"] == CENSOR_BUDGET
     payload = json.dumps(report.to_dict())  # must be JSON-clean
-    assert json.loads(payload)["schema_version"] == 10
+    assert json.loads(payload)["schema_version"] == 11
     assert "delta_u" not in json.loads(payload)  # None fields are dropped
     assert report.wasserstein1 >= 0.0
     assert report.runtime_seconds > 0.0
