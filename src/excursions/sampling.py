@@ -89,6 +89,13 @@ _DIRECT_ROWS = 8
 # only contend for the CPU.  The basis is cut into column slices to keep each
 # product within it.
 _DIRECT_MACS = 2**18
+# Bytes of direct-sum coefficients that direct_sum folds at once, with as many
+# of normals: a default smooth-regime block's whole (0.7 KiB a substream at
+# u = 6), while a covariance-panel block, whose products span the whole circle
+# (13 KiB a substream on its 800-point circulant), folds 2 substreams at a
+# time.  Folding the panel's 163-substream blocks whole raised the peak RSS of
+# `diagnostics` by 5-7 MiB, 10 substreams at a time by 0.2-0.4 MiB.
+_FOLD_BYTES = 2**15
 # Entries of the largest k j mod m index band_basis builds at once (128 KiB).
 _BASIS_INDEX = 2**14
 
@@ -304,54 +311,58 @@ def direct_slices(basis: np.ndarray, rows: int) -> list[slice]:
     return [slice(max(cols, 0), min(cols + width, n)) for cols in starts if cols + width > 0]
 
 
-def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]):
-    """(start, coef) for each run of plan.product_rows // 2 generators from
-    rngs[start]: each draws what it draws in circulant_draw, each normal is
-    weighted by its mode's weight, modes M - k are folded onto k, and coef (a
-    short run padded with zero rows) times a basis slice is the run's pairs
-    there.  Every product on a plan has the same height, so a row comes out
-    the same in any block.  A call allocates its normals and coef once, and
-    every product writes them whole before reading, so a caller that keeps a
-    coef past the next product copies it."""
+def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The coefficients of the direct-sum products of a block of generators,
+    stacked as a (products, plan.product_rows, 2 (K + 1)) array: product p
+    holds the pairs of the plan.product_rows // 2 generators from rngs[p *
+    product_rows // 2], a short last product padded with zero rows, and
+    coef[p] times a basis slice is their pairs there.  Each generator draws
+    what it draws in circulant_draw into one (substreams, 2, modes) array;
+    the block's normals are weighted by their modes' weights and modes M - k
+    are folded onto k at once.  Every product on a plan has the same height,
+    so a row comes out the same in any block."""
     weights, m = plan.spectral_weights, plan.spectral_weights.size
     head, tail = band_split(m, plan.band)
     height = plan.product_rows
-    per_product = height // 2
-    drawn, coef = np.empty((per_product, 2, head + tail)), np.empty((height, 2 * head))
-    for start in range(0, len(rngs), per_product):
-        chunk = rngs[start : start + per_product]
-        for row, rng in zip(drawn, chunk):
-            rng.standard_normal(out=row)
-        drawn[len(chunk) :] = 0.0
-        drawn[..., :head] *= weights[:head]
-        drawn[..., head:] *= weights[m - tail :]
-        a, b = drawn[:, 0], drawn[:, 1]  # real and imaginary parts, modes ascending
-        a_fold, b_fold = a[:, : head - 1 : -1], b[:, : head - 1 : -1]  # modes M - k, k = 1..tail
-        # y_j = sum_k z_k exp(-2 pi i k j / M) with z_{M-k} folded onto k
-        coef[0::2, :head], coef[0::2, head:] = a[:, :head], b[:, :head]  # real rows
-        coef[1::2, :head] = b[:, :head]  # imaginary rows
-        np.negative(a[:, :head], out=coef[1::2, head:])
-        coef[0::2, 1 : tail + 1] += a_fold
-        coef[0::2, head + 1 : head + tail + 1] -= b_fold
-        coef[1::2, 1 : tail + 1] += b_fold
-        coef[1::2, head + 1 : head + tail + 1] += a_fold
-        yield start, coef
+    products = -(-len(rngs) // (height // 2))
+    drawn = np.empty((products * height // 2, 2, head + tail))  # (substream, real/imaginary, mode)
+    for row, rng in zip(drawn, rngs):
+        rng.standard_normal(out=row)
+    drawn[len(rngs) :] = 0.0
+    drawn[..., :head] *= weights[:head]
+    drawn[..., head:] *= weights[m - tail :]
+    a, b = drawn[:, 0], drawn[:, 1]  # real and imaginary parts, modes ascending
+    a_fold, b_fold = a[:, : head - 1 : -1], b[:, : head - 1 : -1]  # modes M - k, k = 1..tail
+    # y_j = sum_k z_k exp(-2 pi i k j / M) with z_{M-k} folded onto k
+    coef = np.empty((len(drawn), 2, 2 * head))  # (substream, real/imaginary row, term)
+    real, imag = coef[:, 0], coef[:, 1]
+    real[:, :head], real[:, head:] = a[:, :head], b[:, :head]
+    imag[:, :head] = b[:, :head]
+    np.negative(a[:, :head], out=imag[:, head:])
+    real[:, 1 : tail + 1] += a_fold
+    real[:, head + 1 : head + tail + 1] -= b_fold
+    imag[:, 1 : tail + 1] += b_fold
+    imag[:, head + 1 : head + tail + 1] += a_fold
+    return coef.reshape(products, height, 2 * head)
 
 
 def direct_sum(plan: SamplerPlan, rngs: list[np.random.Generator], basis: np.ndarray) -> np.ndarray:
     """The plan's unconditional pairs at the columns of ``basis`` (band_basis
-    of the plan's band), as a (2 * len(rngs), columns) array: each
-    direct_products coefficient matrix times each direct_slices slice of the
-    basis.  The same normals as circulant_draw's, summed instead of
-    transformed, at any band, the full circle included."""
-    height = plan.product_rows
-    pairs = np.empty((-(-len(rngs) // (height // 2)) * height, basis.shape[1]))
+    of the plan's band), as a (2 * len(rngs), columns) array: the stacked
+    direct_products coefficients times each direct_slices slice of the basis,
+    one np.matmul per slice, folded whole products at a time within
+    _FOLD_BYTES of coefficients.  The same normals as circulant_draw's, summed
+    instead of transformed, at any band, the full circle included."""
+    height, terms = plan.product_rows, basis.shape[0]
+    per_fold = height // 2 * max(1, _FOLD_BYTES // (8 * height * terms))  # generators, whole products
+    pairs = np.empty((-(-len(rngs) // (height // 2)), height, basis.shape[1]))
     slices = direct_slices(basis, height)
-    for start, coef in direct_products(plan, rngs):
-        rows = pairs[2 * start : 2 * start + height]
+    for start in range(0, len(rngs), per_fold):
+        coefs = direct_products(plan, rngs[start : start + per_fold])
+        first = start // (height // 2)
         for cols in slices:
-            np.matmul(coef, basis[:, cols], out=rows[:, cols])
-    return pairs[: 2 * len(rngs)]
+            np.matmul(coefs, basis[:, cols], out=pairs[first : first + len(coefs), :, cols])
+    return pairs.reshape(-1, basis.shape[1])[: 2 * len(rngs)]
 
 
 def _draw(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:

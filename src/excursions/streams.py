@@ -4,7 +4,10 @@ Replicates come in blocks of consecutive substreams, each substream with its
 own generator, so neither the block size nor the number of worker threads that
 draw the blocks changes a number, only speed and memory.  Substream seeds are
 the keys numpy's SeedSequence derives, computed from a cached prefix of its
-mixing state.
+mixing state.  replicates derives them on the calling thread, in one numpy
+pass (_substream_seeds) per chunk of _KEY_CHUNK consecutive substreams cut at
+a block boundary, and hands each block its seeds; a block builds its
+generators from them on the thread that draws it.
 
 Every lane follows one block rule with two cases.  A block that draws whole
 rows, by FFT or by direct sum (the heavy-tail path and limit lanes at alpha
@@ -38,6 +41,11 @@ __all__ = ["substream_seed", "generator", "generators", "replicates"]
 # fifth would add at most 7% for one more block of memory.
 _MAX_WORKERS = 4
 
+# Substreams whose seeds one numpy pass derives (_substream_seeds), rounded
+# down to whole blocks: a few hundred KiB of temporaries and Python ints,
+# whatever the run size.
+_KEY_CHUNK = 4096
+
 # numpy's SeedSequence hash constants, and generate_state's first two multipliers.
 _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
@@ -50,23 +58,53 @@ def substream_seed(master_seed: int, *lane: int) -> int:
 
     Pure function of its arguments, so a replicate's stream never depends on
     how many replicates a run draws or in which order.  The seed is that of
-    ``SeedSequence(master_seed, spawn_key=lane).generate_state(1, np.uint64)``.
-    A seed sequence hashes its entropy words into its pool in order, so the
-    pool after all lane indices but the last is cached (_prefix), and each
-    seed mixes in its last index and hashes out two words in Python integers.
+    ``SeedSequence(master_seed, spawn_key=lane).generate_state(1, np.uint64)``:
+    the one-element case of _substream_seeds.
     """
+    return int(_substream_seeds(master_seed, lane, 1)[0])
+
+
+def _substream_seeds(master_seed: int, lane: tuple, count: int) -> np.ndarray:
+    """substream_seed(master_seed, *lane[:-1], lane[-1] + i) for i in
+    range(count), as a uint64 array, in one numpy pass; an empty lane gives
+    the seed of the master seed alone.  A seed sequence hashes its entropy
+    words into its pool in order, so the pool after all lane indices but the
+    last is cached (_prefix); each last index mixes in the words a seed
+    sequence reads of it (_index_words), and two words are hashed out.  Every
+    hash constant is shared by the indices, and uint64 products keep their
+    low 32 bits exactly."""
     master_seed, lane = operator.index(master_seed), tuple(map(operator.index, lane))
     if master_seed < 0 or min(lane, default=0) < 0:
         raise DomainError(f"master seed and lane indices must be non-negative, got {master_seed}, {lane}")
+    words = _index_words(lane[-1], count) if lane else np.zeros((0, count), np.uint64)
     pool, const = _prefix(master_seed, lane[:-1])
-    pool = list(pool)
-    for word in _words(lane[-1]) if lane else ():
+    pool = [np.full(count, word, np.uint64) for word in pool]
+    # an index's first word is mixed in, and each further one up to its highest nonzero one
+    mixes = np.logical_or.accumulate(words[::-1] != 0)[::-1]
+    mixes[:1] = True
+    for word, live in zip(words, mixes):
+        if not live.any():
+            break
         for dst in range(4):  # hash the word and mix it into each pool word
             value = (word ^ const) * (const := const * _MULT_A & _MASK) & _MASK
             mixed = (_MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16)) & _MASK
-            pool[dst] = mixed ^ mixed >> 16
-    lo, hi = (pool[0] ^ _INIT_B) * _OUT_1 & _MASK, (pool[1] ^ _OUT_1) * _OUT_2 & _MASK
+            pool[dst] = np.where(live, mixed ^ mixed >> 16, pool[dst])
+    lo = (pool[0] ^ _INIT_B) * _OUT_1 & _MASK
+    hi = (pool[1] ^ _OUT_1) * _OUT_2 & _MASK
     return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
+
+
+def _index_words(start: int, count: int) -> np.ndarray:
+    """The 32-bit words of the indices start .. start + count - 1, least
+    significant first, one column each: start's words plus the offset, carried
+    into one more row.  count must be below 2**32."""
+    words = np.empty((len(_words(start)) + 1, count), np.uint64)
+    carry = np.arange(count, dtype=np.uint64)
+    for row, word in zip(words, [*_words(start), 0]):
+        carry += word
+        np.bitwise_and(carry, _MASK, out=row)
+        carry >>= 32
+    return words
 
 
 def _words(value: int) -> list[int]:
@@ -144,7 +182,8 @@ def replicates(
     ``draw_block(seeds)`` returns two independent draws per seed, as rows in
     seed order; replicate i is row i % 2 of substream_seed(master_seed, lane,
     i // 2)'s pair, so each yielded block holds the rows of its substreams, and
-    an odd n drops the last second half.
+    an odd n drops the last second half.  The seeds are derived here, on the
+    calling thread, a chunk of whole blocks at a time.
 
     With ``pooled`` (the default), blocks are drawn on up to _worker_count()
     threads at once and yielded in block order.  At most twice that many are
@@ -158,15 +197,20 @@ def replicates(
     if n < 1:
         raise DomainError(f"a run needs n >= 1 replicates, got n = {n}")
     pairs = (n + 1) // 2
+    chunk = size * max(1, _KEY_CHUNK // size)  # whole blocks
 
-    def block(start: int) -> np.ndarray:
-        seeds = [substream_seed(master_seed, lane, k) for k in range(start, min(start + size, pairs))]
+    def seeded():  # (start, seeds) per block, keyed one chunk of blocks at a time
+        for first in range(0, pairs, chunk):
+            seeds = _substream_seeds(master_seed, (lane, first), min(chunk, pairs - first)).tolist()
+            for start in range(first, first + len(seeds), size):
+                yield start, seeds[start - first : start - first + size]
+
+    def block(start: int, seeds: list[int]) -> np.ndarray:
         return draw_block(seeds)[: n - 2 * start]
 
-    starts = range(0, pairs, size)
-    workers = min(_worker_count(), len(starts)) if pooled else 1
+    workers = min(_worker_count(), -(-pairs // size)) if pooled else 1
     if workers == 1:
-        yield from map(block, starts)
+        yield from (block(*args) for args in seeded())
         return
     # imported here: at the top it would add about 7.5 ms to every CLI start
     from concurrent.futures import ThreadPoolExecutor
@@ -174,10 +218,10 @@ def replicates(
     pool = ThreadPoolExecutor(workers, thread_name_prefix="excursions-block")
     try:
         pending = deque()
-        for start in starts:
+        for args in seeded():
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(block, start))
+            pending.append(pool.submit(block, *args))
         while pending:
             yield pending.popleft().result()
     finally:  # also when a block fails or the consumer stops early

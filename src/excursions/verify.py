@@ -237,12 +237,15 @@ def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndar
     slices of direct_slices outward from the one centred on the origin.  Every
     product evaluates and conditions the centre slice, whose origin column
     gives X_0, then the next slice on each side where one of its paths is
-    still above u, each column with the bits of a full draw."""
+    still above u, each column with the bits of a full draw.  A side of a
+    round is one stacked np.matmul over the products still open there, in
+    place when every product is, then the conditioning of each open product
+    on its own, so that its temporary stays one product's size."""
     grid, o, basis, height = plan.grid, plan.grid.origin_index, plan.basis, plan.product_rows
     slices = direct_slices(basis, height)
     centre = slices[len(slices) // 2]
     rngs = generators(seeds)
-    coefs = [coef.copy() for _, coef in direct_products(plan, rngs)]
+    coefs = direct_products(plan, rngs)
     xi = exceedances(plan, u, rngs)
     values = np.empty((len(coefs) * height // 2, 2, grid.n))  # (substream, draw, point), whole products
     rows = values.reshape(len(coefs), height, grid.n)
@@ -253,12 +256,15 @@ def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndar
         live = np.logical_or.reduceat(sides, np.arange(0, len(sides), height // 2))  # (product, side)
         spans = [slice(o - hi, o + hi + 1)] if lo == 0 else [slice(o - hi, o - lo), slice(o + lo + 1, o + hi + 1)]
         for side, cols in enumerate(spans):  # the centre slice first, where every side is open
-            for p in np.flatnonzero(live[:, side]):
-                block = rows[p, :, cols]
-                np.matmul(coefs[p], basis[:, cols], out=block)
-                if lo == 0:
-                    shift[p] -= block[:, hi : hi + 1]
-                block += shift[p] * plan.profile[cols]
+            open_ = np.flatnonzero(live[:, side])
+            if open_.size == len(coefs):  # in place, as in the centre round
+                np.matmul(coefs, basis[:, cols], out=rows[:, :, cols])
+            elif open_.size:
+                rows[open_, :, cols] = np.matmul(coefs[open_], basis[:, cols])
+            if lo == 0:
+                np.subtract(shift, rows[:, :, o : o + 1], out=shift)
+            for p in open_:
+                rows[p, :, cols] += shift[p] * plan.profile[cols]
         if lo == 0:
             values[: len(rngs), :, o] = xi.reshape(-1, 2)  # exact, guards the strict exceedance against roundoff
 

@@ -60,6 +60,36 @@ def test_substream_seeds_are_the_seed_sequence_keys(master, head, k):
     assert substream_seed(np.int64(master % 2**63), *lane) == _seed_sequence_key(master % 2**63, *lane)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
+    head=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=2),
+    start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 50, 2**32 + 10), st.integers(0, 2**80)),
+    count=st.integers(0, 40),
+)
+@example(master=2**200 - 1, head=[2**64, 1], start=2**32 - 3, count=6)  # straddles k = 2**32
+@example(master=1729, head=[0], start=5, count=0)  # an empty range
+def test_the_key_pass_gives_each_seed_of_a_range_of_substreams(master, head, start, count):
+    # the numpy pass over a range of last indices is the seed sequence's hash,
+    # whatever words the master seed, the lane head and the indices take
+    keys = streams._substream_seeds(master, (*head, start), count)
+    assert keys.dtype == np.uint64 and keys.shape == (count,)
+    expected = [_seed_sequence_key(master, *head, k) for k in range(start, start + count)]
+    assert keys.tolist() == expected == [substream_seed(master, *head, k) for k in range(start, start + count)]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 4096])
+@pytest.mark.parametrize("size", [2, 3])
+def test_blocks_get_their_seeds_from_chunks_of_whole_blocks(monkeypatch, chunk, size):
+    # keys are derived a chunk of whole blocks at a time: no chunk splits a
+    # block, and every block gets its substreams' seeds in order
+    monkeypatch.setattr(streams, "_KEY_CHUNK", chunk)
+    blocks = list(replicates(lambda seeds: np.repeat(np.array(seeds, np.uint64), 2)[:, None], 41, 5, 0, size))
+    assert [len(b) for b in blocks[:-1]] == [2 * size] * (len(blocks) - 1)
+    expected = [substream_seed(5, 0, k) for k in range(21) for _ in range(2)][:41]
+    np.testing.assert_array_equal(np.concatenate(blocks)[:, 0], expected)
+
+
 @pytest.mark.parametrize("lane", [(-1,), (0, -2)])
 def test_substream_seeds_need_non_negative_lane_indices(lane):
     with pytest.raises(DomainError):
@@ -145,18 +175,18 @@ def test_workers_switching_every_microsecond_draw_the_same_numbers(monkeypatch):
 def test_whole_row_blocks_go_to_the_pool_and_walks_stay_on_the_calling_thread(monkeypatch, tmp_path):
     # the block rule: blocks that draw whole rows, on either engine, reach
     # worker threads; the outward smooth walk and both Markov walks start no
-    # pool.  Every block derives its substream seeds on the thread that draws it.
+    # pool.  Every block builds its generators on the thread that draws it.
     monkeypatch.setattr(streams, "_worker_count", lambda: 3)
-    threads, seed = set(), streams.substream_seed
+    threads, keyed = set(), streams.generator
 
     def recorded(*args):
         threads.add(threading.get_ident())
-        return seed(*args)
+        return keyed(*args)
 
     def paths(*flags):
         assert main(["sample-paths", "--n", "101", *flags, "--out", str(tmp_path / "p.csv")]) == EXIT_OK
 
-    monkeypatch.setattr(streams, "substream_seed", recorded)
+    monkeypatch.setattr(streams, "generator", recorded)
     here, k1, k2, k075 = threading.get_ident(), make_kernel(1.0), make_kernel(2.0), make_kernel(0.75)
     whole_rows = {
         "sample-paths direct": paths,

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from excursions import (
+    C2LimitParams,
     CensorBudgetExceeded,
     DomainError,
     EmptySampleError,
     Grid,
     c2_grid,
+    c2_limit_cdf,
     c_alpha,
     covariance_panel,
     delta_u,
@@ -35,6 +37,7 @@ from excursions import (
     wasserstein1,
 )
 from excursions import build_sampler, crossing_bounds, crossings, sample_conditional_exceedance, sampling, verify
+from excursions.cli import EXIT_OK, main
 from excursions.limit_process import _fgn_weights, _levels, fbm_two_sided, limit_process_values
 from excursions.sampling import FACTOR_TOL, _next_smooth, _truncated_std_normal
 from excursions.streams import generator, generators, replicates, substream_seed
@@ -53,6 +56,23 @@ def test_substream_seeds_are_frozen():
     assert substream_seed(1729, 0, 5) == 3022412939945708830
     assert substream_seed(1729, 1, 5) == 12290368962661393461
     assert substream_seed(1729, 0, 5) != substream_seed(1729, 0, 6)
+
+
+@pytest.mark.parametrize(
+    "argv, ks_stat, w1",
+    [
+        (["verify-c2", "--u", "6", "--n", "5000"], 0.03209733962867123, 0.06929748481011144),
+        (["verify-ht", "--alpha", "1", "--u", "10", "--n", "2000"], 0.03049999999999997, 0.02240284283748973),
+    ],
+    ids=["c2", "ht-alpha-1"],
+)
+def test_the_default_runs_keep_their_streams(tmp_path, argv, ks_stat, w1):
+    # the smooth lane's direct sums and the alpha = 1 Markov walks at seed 1729:
+    # a change that claims to keep every stream must leave these bits as they are
+    out = tmp_path / "report.json"
+    assert main([*argv, "--seed", "1729", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert (report["ks_stat"], report["wasserstein1"]) == (ks_stat, w1)
 
 
 def test_make_sample_set_sorts_and_validates():
@@ -540,9 +560,10 @@ def _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, u, n):
     slices of direct_slices, and that each product evaluates the centre slice
     first, then exactly the slices out to its paths' furthest first point at or
     below u on each side in the full draws (the window's edge where a side is
-    censored), each once.  np.matmul is recorded by coefficient matrix, which
-    is one product's, and by the slice whose columns it multiplies.  Returns
-    the slices and, per product, the indices of the slices it evaluated."""
+    censored), each once.  np.matmul multiplies a stack of products'
+    coefficients by one slice; it is recorded once per product in the stack,
+    known by its coefficient matrix, and by the slice.  Returns the slices
+    and, per product, the indices of the slices it evaluated."""
     grid, o, height = plan.grid, plan.grid.origin_index, plan.product_rows
     slices = sampling.direct_slices(plan.basis, height)
     index = {(s.start, s.stop): k for k, s in enumerate(slices)}
@@ -551,7 +572,8 @@ def _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, u, n):
 
     def record(a, b, **kw):
         start = (b.__array_interface__["data"][0] - base) // b.itemsize
-        calls.append((id(a), index[start, start + b.shape[1]]))  # a KeyError: not one of the slices
+        k = index[start, start + b.shape[1]]  # a KeyError: not one of the slices
+        calls.extend((coef.tobytes(), k) for coef in a)
         return matmul(a, b, **kw)
 
     def lane(plan, u, seeds):
@@ -627,6 +649,20 @@ def test_lane_separation():
     a, _ = simulate_excursion_lengths(k, 6.0, g, 30, 4321, lane=PATH_LANE)
     b, _ = simulate_excursion_lengths(k, 6.0, g, 30, 4321, lane=LIMIT_LANE)
     assert not np.array_equal(a, b)
+
+
+def test_limit_lengths_near_alpha_2_follow_the_smooth_law():
+    # as alpha -> 2 the limit interval tends to r0 sqrt(2 / c_alpha) chi_3, the
+    # smooth regime's law at scale 1; the median interval at alpha = 1.99 spans
+    # about 15 points of the default 0.01 step, where the grid's monitoring gap
+    # fails this check (p = 0.002 at seed 1729), so the step is 0.0025
+    lengths, censored = draw_limit_lengths(1.99, 1.0, limit_grid(0.0025), 2000, 1729)
+    assert censored == 0
+    scaled = make_sample_set(lengths * math.sqrt(c_alpha(1.99) / 2.0))
+    params = C2LimitParams(1.0, -4.0)
+    assert params.scale == 1.0
+    _, p = ks_one_sample(scaled, partial(c2_limit_cdf, params))
+    assert p > 0.01
 
 
 @pytest.mark.parametrize("n", [23, 24])
