@@ -23,8 +23,9 @@ import json
 import math
 import sys
 import traceback
+from contextlib import contextmanager
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -56,20 +57,25 @@ DEFAULT_SEED = 1729
 _COVARIANCE_PAIRS = ((1.0, 1.0), (1.0, 2.0), (-1.0, 1.0))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write rows as they come, so a generator is never held in memory whole;
-    if producing them fails, the partial file is removed.  The csv module
-    writes a float, numpy's float64 included, as its shortest text that
-    parses back to the same float."""
+@contextmanager
+def _new_file(path: str):
+    """The text file at path, opened for writing; rows go out as they come, so
+    a generator is never held in memory whole, and if producing them fails,
+    the partial file is removed."""
     fh = open(path, "w", newline="")
     try:
         with fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
     except BaseException:
         FilePath(path).unlink()
         raise
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """The csv module writes a float, numpy's float64 included, as its
+    shortest text that parses back to the same float."""
+    with _new_file(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
 
 
 def _write_json(path: str, payload) -> None:
@@ -77,11 +83,16 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_table(args, header: list[str], rows) -> None:
-    """Write rows to args.out as CSV, or under --format json as objects keyed by the header."""
-    if args.format == "json":
-        _write_json(args.out, [dict(zip(header, row)) for row in rows])
-    else:
-        _write_csv(args.out, header, rows)
+    """Write rows to args.out as CSV, or under --format json as the bytes
+    _write_json gives the list of objects keyed by the header, one object at a
+    time: each one's dump as a list of one, brackets cut."""
+    if args.format == "csv":
+        return _write_csv(args.out, header, rows)
+    encode = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
+    with _new_file(args.out) as fh:
+        for sep, row in zip(chain(["[\n"], repeat(",\n")), rows):
+            fh.write(sep + encode([dict(zip(header, row))])[2:-2])
+        fh.write("\n]\n")
 
 
 def _quantile_csv_path(out: str) -> str:

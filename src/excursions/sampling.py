@@ -12,13 +12,12 @@ the default heavy-tail embeddings keep them all.
 A plan evaluates the same draw, from the same normals, in one of two ways.
 The FFT transforms the whole circle.  The direct sum (direct_sum) folds each
 mode M - k onto k and multiplies the band's coefficients into a cos/sin basis
-of grid columns, 2 (K + 1) rows, one column slice at a time, the slices
-(direct_slices) centred on the origin; it holds for any band.  build_sampler
-picks it when the band leaves part of the circle undrawn and the product over
-the whole grid is cheap against the FFT, as on every default smooth-regime
-grid; heavy-tail spectra keep every mode, so their plans transform.  The
-samplers here evaluate the whole grid; verify's walks and covariance panel
-evaluate only what they read.
+of the grid, 2 (K + 1) rows, one column slice at a time, the slices
+(direct_slices) centred on the origin.  build_sampler picks it when the band
+leaves part of the circle undrawn and the product over the whole grid is cheap
+against the FFT, as on every default smooth-regime grid; heavy-tail spectra
+keep every mode, so their plans transform.  The samplers here evaluate the
+whole grid; verify's walks evaluate only what they read.
 Samplers take a block of consecutive substream seeds (one seed is a block of
 one; block_size sizes a block by the rule in streams); each substream keeps
 its own generator, and no block shares a buffer with another, so neither the
@@ -76,26 +75,15 @@ _BLOCK_BYTES = 2**21
 # one thread the two cost the same per pair at a ratio of 5 to 7 for M from
 # 4000 to 20000 (3.5 at M = 800); the FFT's worker pool wins back about 1.5x.
 _DIRECT_COST = 4
-# Rows of every direct-sum product over a band that leaves part of the circle
-# undrawn, two per substream; a short last chunk is padded with zero rows.
-# OpenBLAS may round a row differently in products of different heights, so a
-# fixed height per plan (SamplerPlan.product_rows) keeps a run the prefix of a
-# longer one.  A product over the whole circle has one substream's 2 rows:
-# each row holds M + 2 coefficients, so the product is no larger than the
-# substream's normals.
+# Rows of every direct-sum product, two per substream; a short last chunk is
+# padded with zero rows.  OpenBLAS may round a row differently in products of
+# different heights, so one fixed height keeps a run the prefix of a longer one.
 _DIRECT_ROWS = 8
 # Multiply-adds of the largest direct-sum product: OpenBLAS computes one this
 # small on the calling thread, while a larger one may wake BLAS threads that
 # only contend for the CPU.  The basis is cut into column slices to keep each
 # product within it.
 _DIRECT_MACS = 2**18
-# Bytes of direct-sum coefficients that direct_sum folds at once, with as many
-# of normals: a default smooth-regime block's whole (0.7 KiB a substream at
-# u = 6), while a covariance-panel block, whose products span the whole circle
-# (13 KiB a substream on its 800-point circulant), folds 2 substreams at a
-# time.  Folding the panel's 163-substream blocks whole raised the peak RSS of
-# `diagnostics` by 5-7 MiB, 10 substreams at a time by 0.2-0.4 MiB.
-_FOLD_BYTES = 2**15
 # Entries of the largest k j mod m index band_basis builds at once (128 KiB).
 _BASIS_INDEX = 2**14
 
@@ -150,11 +138,6 @@ class SamplerPlan:
     def engine(self) -> str:
         """How the plan evaluates its draws: "direct" or "fft"."""
         return "fft" if self.basis is None else "direct"
-
-    @property
-    def product_rows(self) -> int:
-        """Rows of each of the plan's direct-sum products (_DIRECT_ROWS)."""
-        return _DIRECT_ROWS if 2 * self.band + 1 < self.spectral_weights.size else 2
 
 
 def _toeplitz_fro_gap(row_target: np.ndarray, row_realized: np.ndarray, n: int) -> float:
@@ -270,21 +253,19 @@ def circulant_draw(weights: np.ndarray, band: int, n: int, rngs: list[np.random.
     return pairs
 
 
-def band_basis(m: int, band: int, columns: np.ndarray) -> np.ndarray:
-    """The direct sum's basis for the band of an m-point circulant at the grid
-    columns j in ``columns``: rows cos(2 pi k j / m) for k = 0..band, then
+def band_basis(m: int, band: int, n: int) -> np.ndarray:
+    """The direct sum's basis for the band of an m-point circulant on the grid
+    columns j = 0..n-1: rows cos(2 pi k j / m) for k = 0..band, then
     sin(2 pi k j / m).  Each entry is looked up in one m-point table of
     twiddles at k j mod m, for as many rows at once as keep that index within
-    _BASIS_INDEX entries: the whole band at a few columns, a few rows on a
-    whole grid."""
+    _BASIS_INDEX entries."""
     angle = (2.0 * math.pi / m) * np.arange(m)
     cos = np.cos(angle)
     sin = np.sin(angle, out=angle)
-    j = np.asarray(columns, dtype=np.intp)
-    basis = np.empty((2 * (band + 1), j.size))
-    rows = max(1, _BASIS_INDEX // j.size)
+    basis = np.empty((2 * (band + 1), n))
+    rows = max(1, _BASIS_INDEX // n)
     for k in range(0, band + 1, rows):
-        index = np.outer(np.arange(k, min(k + rows, band + 1)), j)
+        index = np.outer(np.arange(k, min(k + rows, band + 1)), np.arange(n))
         np.remainder(index, m, out=index)
         np.take(cos, index, out=basis[k : k + len(index)])
         np.take(sin, index, out=basis[band + 1 + k : band + 1 + k + len(index)])
@@ -297,14 +278,14 @@ def _takes_direct_sum(m: int, band: int, n: int) -> bool:
     return 2 * band + 1 < m and 2 * (band + 1) * n <= _DIRECT_COST * m * math.ceil(math.log2(m))
 
 
-def direct_slices(basis: np.ndarray, rows: int) -> list[slice]:
+def direct_slices(basis: np.ndarray) -> list[slice]:
     """The column slices of ``basis`` (band_basis) that direct-sum products
-    of ``rows`` rows evaluate, each within _DIRECT_MACS multiply-adds, so
-    OpenBLAS runs on the calling thread: the whole basis, or slices of one odd
-    width, one centred on the middle column (a grid's origin), so that a walk
-    outward from it advances both sides by the same offsets."""
+    evaluate, each within _DIRECT_MACS multiply-adds, so OpenBLAS runs on the
+    calling thread: the whole basis, or slices of one odd width, one centred
+    on the middle column (a grid's origin), so that a walk outward from it
+    advances both sides by the same offsets."""
     terms, n = basis.shape
-    width = max(1, _DIRECT_MACS // (rows * terms))
+    width = max(1, _DIRECT_MACS // (_DIRECT_ROWS * terms))
     if n > width:  # a basis no wider than one slice stays one slice
         width -= 1 - width % 2
     starts = range((n // 2 - width // 2) % width - width, n, width)
@@ -313,19 +294,16 @@ def direct_slices(basis: np.ndarray, rows: int) -> list[slice]:
 
 def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:
     """The coefficients of the direct-sum products of a block of generators,
-    stacked as a (products, plan.product_rows, 2 (K + 1)) array: product p
-    holds the pairs of the plan.product_rows // 2 generators from rngs[p *
-    product_rows // 2], a short last product padded with zero rows, and
-    coef[p] times a basis slice is their pairs there.  Each generator draws
-    what it draws in circulant_draw into one (substreams, 2, modes) array;
-    the block's normals are weighted by their modes' weights and modes M - k
-    are folded onto k at once.  Every product on a plan has the same height,
-    so a row comes out the same in any block."""
+    stacked as a (products, _DIRECT_ROWS, 2 (K + 1)) array: product p holds the
+    pairs of the next _DIRECT_ROWS // 2 generators, the last one padded with
+    zero rows, and coef[p] times a basis slice is their pairs there.  Each
+    generator draws what it draws in circulant_draw into one (substreams, 2,
+    modes) array; the block's normals are weighted by their modes' weights and
+    modes M - k are folded onto k at once."""
     weights, m = plan.spectral_weights, plan.spectral_weights.size
     head, tail = band_split(m, plan.band)
-    height = plan.product_rows
-    products = -(-len(rngs) // (height // 2))
-    drawn = np.empty((products * height // 2, 2, head + tail))  # (substream, real/imaginary, mode)
+    products = -(-len(rngs) // (_DIRECT_ROWS // 2))
+    drawn = np.empty((products * _DIRECT_ROWS // 2, 2, head + tail))  # (substream, real/imaginary, mode)
     for row, rng in zip(drawn, rngs):
         rng.standard_normal(out=row)
     drawn[len(rngs) :] = 0.0
@@ -343,34 +321,26 @@ def direct_products(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.nd
     real[:, head + 1 : head + tail + 1] -= b_fold
     imag[:, 1 : tail + 1] += b_fold
     imag[:, head + 1 : head + tail + 1] += a_fold
-    return coef.reshape(products, height, 2 * head)
+    return coef.reshape(products, _DIRECT_ROWS, 2 * head)
 
 
-def direct_sum(plan: SamplerPlan, rngs: list[np.random.Generator], basis: np.ndarray) -> np.ndarray:
-    """The plan's unconditional pairs at the columns of ``basis`` (band_basis
-    of the plan's band), as a (2 * len(rngs), columns) array: the stacked
-    direct_products coefficients times each direct_slices slice of the basis,
-    one np.matmul per slice, folded whole products at a time within
-    _FOLD_BYTES of coefficients.  The same normals as circulant_draw's, summed
-    instead of transformed, at any band, the full circle included."""
-    height, terms = plan.product_rows, basis.shape[0]
-    per_fold = height // 2 * max(1, _FOLD_BYTES // (8 * height * terms))  # generators, whole products
-    pairs = np.empty((-(-len(rngs) // (height // 2)), height, basis.shape[1]))
-    slices = direct_slices(basis, height)
-    for start in range(0, len(rngs), per_fold):
-        coefs = direct_products(plan, rngs[start : start + per_fold])
-        first = start // (height // 2)
-        for cols in slices:
-            np.matmul(coefs, basis[:, cols], out=pairs[first : first + len(coefs), :, cols])
-    return pairs.reshape(-1, basis.shape[1])[: 2 * len(rngs)]
+def direct_sum(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The pairs of a direct plan on its grid, as a (2 * len(rngs), grid.n)
+    array: the stacked direct_products coefficients times each direct_slices
+    slice of plan.basis, one np.matmul per slice.  The same normals as
+    circulant_draw's, summed instead of transformed."""
+    coefs, basis = direct_products(plan, rngs), plan.basis
+    pairs = np.empty((len(coefs), _DIRECT_ROWS, plan.grid.n))
+    for cols in direct_slices(basis):
+        np.matmul(coefs, basis[:, cols], out=pairs[:, :, cols])
+    return pairs.reshape(-1, plan.grid.n)[: 2 * len(rngs)]
 
 
 def _draw(plan: SamplerPlan, rngs: list[np.random.Generator]) -> np.ndarray:
-    """The plan's unconditional pairs on its grid, by its engine: circulant_draw,
-    or direct_sum over the plan's basis."""
+    """The plan's unconditional pairs on its grid: circulant_draw or direct_sum."""
     if plan.basis is None:
         return circulant_draw(plan.spectral_weights, plan.band, plan.grid.n, rngs)
-    return direct_sum(plan, rngs, plan.basis)
+    return direct_sum(plan, rngs)
 
 
 def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
@@ -380,7 +350,7 @@ def build_sampler(kernel: Kernel, grid: Grid) -> SamplerPlan:
         lambda lags: kernel.value(lags * grid.step), grid.n
     )
     profile = kernel.value(grid.times()) / kernel.r0
-    basis = band_basis(weights.size, band, np.arange(grid.n)) if _takes_direct_sum(weights.size, band, grid.n) else None
+    basis = band_basis(weights.size, band, grid.n) if _takes_direct_sum(weights.size, band, grid.n) else None
     return SamplerPlan(kernel, grid, gap, embed_factor, weights, band, profile, basis)
 
 

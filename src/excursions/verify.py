@@ -10,8 +10,8 @@ only as far as their paths cross (crossings.walk_intervals), with a full
 draw's numbers: the smooth-regime path lane over the direct sum's basis
 slices (_outward_intervals), and at alpha = 1 both heavy-tail lanes by their
 exact Markov recursion (_markov_lane).  The other heavy-tail lanes draw whole
-rows by FFT.  The covariance panel evaluates each draw only at its columns, on
-the smallest grid that holds them, by the direct sum (_panel_rows).
+rows by FFT, and so does the covariance panel, on the smallest grid that holds
+its columns (_panel_rows).
 """
 
 from __future__ import annotations
@@ -32,15 +32,14 @@ from .limit_process import _fgn_weights, _markov_limit_intervals, sample_limit_l
 from .sampling import (
     Grid,
     SamplerPlan,
-    band_basis,
     band_split,
     block_size,
     build_sampler,
     direct_products,
     direct_slices,
-    direct_sum,
     exceedances,
     sample_conditional_exceedance,
+    sample_unconditional,
 )
 from .streams import generators, replicates, substream_seed
 
@@ -241,11 +240,12 @@ def _outward_intervals(plan: SamplerPlan, u: float, seeds: list[int]) -> np.ndar
     round is one stacked np.matmul over the products still open there, in
     place when every product is, then the conditioning of each open product
     on its own, so that its temporary stays one product's size."""
-    grid, o, basis, height = plan.grid, plan.grid.origin_index, plan.basis, plan.product_rows
-    slices = direct_slices(basis, height)
+    grid, o, basis = plan.grid, plan.grid.origin_index, plan.basis
+    slices = direct_slices(basis)
     centre = slices[len(slices) // 2]
     rngs = generators(seeds)
     coefs = direct_products(plan, rngs)
+    height = coefs.shape[1]
     xi = exceedances(plan, u, rngs)
     values = np.empty((len(coefs) * height // 2, 2, grid.n))  # (substream, draw, point), whole products
     rows = values.reshape(len(coefs), height, grid.n)
@@ -333,16 +333,14 @@ def _panel_rows(plan: SamplerPlan, u: float, cols: list[int], n: int, master_see
     """u * Z_t at the grid columns ``cols`` of n replicates of the path lane
     on the plan's grid, one row each.  Z_t = X_t - (R(t)/R(0)) * X_0 takes the
     same value on the conditioned path as on the unconditional draw X it
-    conditions, so each replicate evaluates X only at the origin and ``cols``,
-    by the direct sum over the plan's band (sampling.direct_sum), and draws no
-    exceedance: the path's truncated normal comes after its normals, which are
-    the conditioned path's."""
-    profile = plan.profile[cols]
-    basis = band_basis(plan.spectral_weights.size, plan.band, [plan.grid.origin_index, *cols])
+    conditions, so each block draws whole unconditional rows
+    (sampling.sample_unconditional) and no exceedance: the path's truncated
+    normal comes after its normals, which are the conditioned path's."""
+    o, profile = plan.grid.origin_index, plan.profile[cols]
 
     def residuals(seeds: list[int]) -> np.ndarray:
-        x = direct_sum(plan, generators(seeds), basis)
-        return u * (x[:, 1:] - profile * x[:, :1])
+        x = sample_unconditional(plan, seeds)
+        return u * (x[:, cols] - profile * x[:, o, None])
 
     size = block_size(plan.spectral_weights)
     return np.concatenate(list(replicates(residuals, n, master_seed, PATH_LANE, size)))
@@ -363,10 +361,11 @@ def covariance_panel(
     d = delta_u, which holds at any u because Z is independent of X_0.
 
     Z_t = X_t - (R(t)/R(0)) * X_0 on the conditioned path (_panel_rows).
-    The panel times must land on points of ``grid``.  Paths are drawn on the
-    grid of its step that reaches the furthest of them (at least one step):
-    an exact embedding of any grid holding the panel's columns gives them the
-    same joint law, so no number depends on the window of ``grid``.
+    The panel times must land on points of ``grid``.  Paths are drawn whole,
+    in blocks of block_size substreams, on the grid of its step that reaches
+    the furthest of them (at least one step): an exact embedding of any grid
+    holding the panel's columns gives them the same joint law, so no number
+    depends on the window of ``grid``.
     """
     if n < 2:
         raise DomainError(f"a covariance estimate needs n >= 2 replicates, got {n}")

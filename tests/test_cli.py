@@ -204,24 +204,47 @@ def test_grid_too_large_to_embed_exits_config_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def _sample_paths_peak(tmp_path, n):
+def _sample_paths_peak(tmp_path, n, fmt):
     tracemalloc.start()
     try:
-        out = str(tmp_path / f"p{n}.csv")
-        assert main(["sample-paths", "--n", str(n), "--window-factor", "2", "--out", out]) == EXIT_OK
+        out = str(tmp_path / f"p{n}.{fmt}")
+        argv = ["sample-paths", "--n", str(n), "--window-factor", "2", "--format", fmt, "--out", out]
+        assert main(argv) == EXIT_OK
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_sample_paths_memory_does_not_grow_with_n(tmp_path, monkeypatch):
-    # rows are written as each path pair is drawn, never collected: with one
-    # substream per block, runs of 20 and 200 substreams, both more than the
-    # blocks in flight, peak alike once a first run has warmed the caches
-    # (collected, the 401-point rows of 360 more paths would take about 20 MB)
+@pytest.mark.parametrize("fmt,n", [("csv", 40), ("json", 10)])
+def test_sample_paths_memory_does_not_grow_with_n(tmp_path, monkeypatch, fmt, n):
+    # rows are written as each path pair is drawn, never collected, in either
+    # format: with one substream per block, runs of n and 10 n paths peak
+    # alike once a first run has warmed the caches (collected, the 401-point
+    # rows of 360 more paths would take about 20 MB as tuples, and of 90 more
+    # about 30 MB as JSON objects, which encode slowly under tracemalloc)
     monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1)
-    _sample_paths_peak(tmp_path, 4)
-    assert _sample_paths_peak(tmp_path, 400) - _sample_paths_peak(tmp_path, 40) <= 2 * 2**20
+    _sample_paths_peak(tmp_path, 4, fmt)
+    assert _sample_paths_peak(tmp_path, 10 * n, fmt) - _sample_paths_peak(tmp_path, n, fmt) <= 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv,kinds",
+    [
+        (["limit-cdf", "--range", "0:3:0.25"], (float, float)),
+        (["sample-paths", "--n", "3"], (float, float, int)),
+        (["sample-paths", "--alpha", "0.75", "--u", "10", "--n", "3"], (float, float, int)),
+    ],
+)
+def test_json_tables_are_the_one_shot_dump_of_their_csv_rows(tmp_path, argv, kinds):
+    # the JSON writer streams its objects, yet writes the bytes json.dumps
+    # gives the whole list; the CSV holds each float's round-trip text, so its
+    # rows parse back to the very values
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main([*argv, "--out", str(csv_out)]) == EXIT_OK
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == EXIT_OK
+    header, rows = _read_csv(csv_out)
+    table = [{key: kind(text) for key, kind, text in zip(header, kinds, row)} for row in rows]
+    assert json_out.read_text() == json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_c2_reports_are_reproducible_minus_runtime(tmp_path):
@@ -370,10 +393,12 @@ def test_extreme_variances_embed(tmp_path, r0):
 
 def test_threshold_too_large_to_sample_exits_config_error(tmp_path):
     # (u / sigma)**2 overflows above about 1.3e154; the truncated-normal
-    # sampler used to spin forever there instead of rejecting the input
+    # sampler used to spin forever there instead of rejecting the input.  The
+    # sample-paths draws fail after their file is opened, and it is removed
     src = str(Path(excursions.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    for argv in (["sample-paths", "--n", "1"], ["verify-c2", "--n", "200"]):
+    json_paths = ["sample-paths", "--n", "1", "--format", "json"]
+    for argv in (["sample-paths", "--n", "1"], json_paths, ["verify-c2", "--n", "200"]):
         out = tmp_path / "big.csv"
         res = subprocess.run(
             [sys.executable, "-m", "excursions.cli", *argv, "--u", "1e160", "--out", str(out)],

@@ -513,7 +513,7 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
         scan = lambda seeds: crossing_bounds(grid, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
         exact = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, size, pooled=False)))
         np.testing.assert_array_equal(rows, exact)
-        assert window is None or len(sampling.direct_slices(plan.basis, plan.product_rows)) == 5
+        assert window is None or len(sampling.direct_slices(plan.basis)) == 5
     else:
         np.testing.assert_array_equal(rows, reference)
     if window is not None:
@@ -564,8 +564,8 @@ def _assert_lane_walks_exactly_to_its_crossings(monkeypatch, plan, u, n):
     coefficients by one slice; it is recorded once per product in the stack,
     known by its coefficient matrix, and by the slice.  Returns the slices
     and, per product, the indices of the slices it evaluated."""
-    grid, o, height = plan.grid, plan.grid.origin_index, plan.product_rows
-    slices = sampling.direct_slices(plan.basis, height)
+    grid, o, height = plan.grid, plan.grid.origin_index, sampling._DIRECT_ROWS
+    slices = sampling.direct_slices(plan.basis)
     index = {(s.start, s.stop): k for k, s in enumerate(slices)}
     base = plan.basis.__array_interface__["data"][0]
     calls, walked, matmul, outward = [], [], np.matmul, verify._outward_intervals
@@ -722,9 +722,9 @@ def test_covariance_panel_matches_the_exact_finite_u_target():
 
 @pytest.mark.parametrize("alpha,window", [(0.75, 50.0), (0.75, 20.0), (1.0, 20.0)])
 def test_panel_rows_are_the_conditioned_paths_residuals(alpha, window):
-    # the panel sums the unconditional draw at its columns alone and draws no
+    # the panel reads its columns off unconditional draws and draws no
     # exceedance, yet its rows are, to rounding, u * Z of the conditioned
-    # paths drawn whole by FFT; an odd n drops the last pair's second path
+    # paths; an odd n drops the last pair's second path
     k, u, n = make_kernel(alpha), 10.0, 41
     plan = build_sampler(k, heavy_tail_grid(k, u, 0.01, window))
     o, step = plan.grid.origin_index, round(1.0 / 0.01)
@@ -741,13 +741,13 @@ def test_panel_rows_are_the_conditioned_paths_residuals(alpha, window):
 @pytest.mark.parametrize("alpha", [0.75, 2.0])
 def test_panel_rows_do_not_depend_on_the_panel_block_size(monkeypatch, alpha):
     # panel rows drawn in blocks of 1, 3 and 16 substreams are equal bit for
-    # bit: over a heavy-tail plan's whole circle each product holds one
-    # substream, over a smooth plan's band four, zero padded where a block
-    # ends mid-product
+    # bit: a heavy-tail plan transforms each row on its own, and a smooth
+    # plan's direct-sum products hold four substreams each, zero padded where
+    # a block ends mid-product
     k = make_kernel(alpha)
     u, grid = (10.0, heavy_tail_grid(k, 10.0)) if alpha < 2.0 else (6.0, c2_grid(6.0))
     plan = build_sampler(k, grid)
-    assert plan.product_rows == (2 if alpha < 2.0 else 8)
+    assert plan.engine == ("fft" if alpha < 2.0 else "direct")
     o = plan.grid.origin_index
     cols = [o - 100, o + 100, o + 200]
     rows = []
@@ -815,6 +815,25 @@ def test_covariance_panel_rows_are_the_residuals_of_paths_drawn_whole_on_its_gri
     for row, (s, t) in zip(rows, _PANEL_PAIRS):
         cov = np.cov(want[:, index[s]], want[:, index[t]], ddof=1)[0, 1]
         assert row["empirical"] == pytest.approx(cov, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_covariance_panel_memory_does_not_grow_with_n(monkeypatch):
+    # each block's whole 401-point rows are cut to the panel's columns before
+    # they are yielded: with one substream per block, runs of 200 and 2000
+    # substreams peak alike once a first run has warmed the caches (kept
+    # whole, the rows of 3600 more paths would take about 11 MB)
+    k = make_kernel(0.75)
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1)
+    covariance_panel(k, 10.0, _PANEL_PAIRS, 40, 1729)  # warm-up
+    peaks = {}
+    for n in (400, 4000):
+        tracemalloc.start()
+        try:
+            covariance_panel(k, 10.0, _PANEL_PAIRS, n, 1729)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] - peaks[400] <= 2 * 2**20, peaks
 
 
 def test_covariance_panel_rejects_offgrid_times():
