@@ -8,7 +8,8 @@ diagnostics need --alpha < 2; sample-paths takes either.
 Replicate i of a run is half i % 2 of the path pair drawn from substream
 i // 2 of its seed, drawn in blocks of consecutive substreams, sized and
 threaded by the block rule in streams; neither the block size nor the number
-of worker threads changes a number.
+of worker threads changes a number. Tables go out a chunk at a time, a path or
+a whole small table, each formatted and written in one pass.
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
 including a non-finite number), 3 censor budget exceeded, 4 covariance
@@ -18,7 +19,6 @@ synthesis failed, 5 internal error (traceback on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -59,9 +59,9 @@ _COVARIANCE_PAIRS = ((1.0, 1.0), (1.0, 2.0), (-1.0, 1.0))
 
 @contextmanager
 def _new_file(path: str):
-    """The text file at path, opened for writing; rows go out as they come, so
-    a generator is never held in memory whole, and if producing them fails,
-    the partial file is removed."""
+    """The text file at path, opened for writing; a table goes out a chunk at
+    a time as its chunks are produced, so a generator of them is never held in
+    memory whole, and if producing them fails, the partial file is removed."""
     fh = open(path, "w", newline="")
     try:
         with fh:
@@ -71,28 +71,49 @@ def _new_file(path: str):
         raise
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """The csv module writes a float, numpy's float64 included, as its
-    shortest text that parses back to the same float."""
+def _write_csv(path: str, header: list[str], chunks) -> None:
+    """The bytes csv.writer gives the header and each chunk's rows. A chunk is
+    a tuple of columns in header order, each a list of cells or one cell for
+    every row, at least one a list. A cell, a number, is written as its str: a
+    float, numpy's float64 included, as its shortest round-trip text. A list
+    that is the previous chunk's column object is not formatted again."""
+    held = [(None, None)] * len(header)  # each column's last list and its texts
     with _new_file(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
+        fh.write(",".join(header) + "\n")
+        for chunk in chunks:
+            texts, fields = [], []
+            for k, column in enumerate(chunk):
+                if isinstance(column, list):
+                    if column is not held[k][0]:
+                        held[k] = column, [*map(str, column)]
+                    texts.append(held[k][1])
+                    fields.append("{}")
+                else:
+                    fields.append(str(column))
+            fh.write("".join(map((",".join(fields) + "\n").format, *texts)))
 
 
 def _write_json(path: str, payload) -> None:
     FilePath(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_table(args, header: list[str], rows) -> None:
-    """Write rows to args.out as CSV, or under --format json as the bytes
-    _write_json gives the list of objects keyed by the header, one object at a
-    time: each one's dump as a list of one, brackets cut."""
+def _write_table(args, header: list[str], chunks) -> None:
+    """Write chunks, shaped as _write_csv takes them, to args.out as CSV, or
+    under --format json as the bytes _write_json gives the list of their rows'
+    objects keyed by the header: each chunk's objects encoded in one call,
+    brackets cut, so only one chunk's objects are in memory."""
     if args.format == "csv":
-        return _write_csv(args.out, header, rows)
+        return _write_csv(args.out, header, chunks)
     encode = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
+    sep = "[\n"
     with _new_file(args.out) as fh:
-        for sep, row in zip(chain(["[\n"], repeat(",\n")), rows):
-            fh.write(sep + encode([dict(zip(header, row))])[2:-2])
-        fh.write("\n]\n")
+        for chunk in chunks:
+            rows = zip(*(c if isinstance(c, list) else repeat(c) for c in chunk))
+            objects = [dict(zip(header, row)) for row in rows]
+            if objects:  # encode([]) is "[]"
+                fh.write(sep + encode(objects)[2:-2])
+                sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def _quantile_csv_path(out: str) -> str:
@@ -102,11 +123,8 @@ def _quantile_csv_path(out: str) -> str:
 
 def _write_report(report, out: str) -> None:
     _write_json(out, report.to_dict())
-    _write_csv(
-        _quantile_csv_path(out),
-        ["p", "empirical", "reference"],
-        [(row["p"], row["empirical"], row["reference"]) for row in report.quantiles],
-    )
+    header = ["p", "empirical", "reference"]
+    _write_csv(_quantile_csv_path(out), header, [tuple([row[k] for row in report.quantiles] for k in header)])
 
 
 def _add_common(sp, *, alpha: float | None, u: float, n: int) -> None:
@@ -177,8 +195,8 @@ def _parse_range(spec: str) -> np.ndarray:
 def cmd_limit_cdf(args) -> int:
     kernel = make_kernel(args.alpha, args.r0)
     params = C2LimitParams(kernel.r0, second_derivative_at_zero(kernel))
-    xs = _parse_range(args.range)
-    _write_table(args, ["x", "cdf"], [(float(x), c2_limit_cdf(params, float(x))) for x in xs])
+    xs = _parse_range(args.range).tolist()
+    _write_table(args, ["x", "cdf"], [(xs, [c2_limit_cdf(params, x) for x in xs])])
     return EXIT_OK
 
 
@@ -190,12 +208,10 @@ def cmd_sample_paths(args) -> int:
     times = plan.grid.times().tolist()
     draw = partial(sample_conditional_exceedance, plan, args.u)
     blocks = replicates(draw, args.n, args.seed, PATH_LANE, block_size(plan.spectral_weights))
-    rows = (  # drawn as they are written: only the blocks in flight are in memory
-        (t, v, i)
-        for i, path in enumerate(chain.from_iterable(blocks))
-        for t, v in zip(times, path.tolist())
-    )
-    _write_table(args, ["t", "value", "replicate"], rows)
+    # one chunk per path, drawn as it is written: only the blocks in flight are
+    # in memory, and the grid's times, the same list each time, are formatted once
+    paths = ((times, path.tolist(), i) for i, path in enumerate(chain.from_iterable(blocks)))
+    _write_table(args, ["t", "value", "replicate"], paths)
     return EXIT_OK
 
 
@@ -204,8 +220,8 @@ def cmd_diagnostics(args) -> int:
         raise DomainError("diagnostics applies to the heavy-tail regime; requires --alpha < 2")
     kernel = make_kernel(args.alpha, args.r0)
     # tail-matching curve on a log grid, t decreasing toward 0
-    ts = np.geomspace(1.0, 1e-4, 25)
-    curve = [(float(t), pitman_ratio(kernel, float(t))) for t in ts]
+    ts = np.geomspace(1.0, 1e-4, 25).tolist()
+    ratios = [pitman_ratio(kernel, t) for t in ts]
 
     grid = _path_grid(args, kernel)
     panel = covariance_panel(kernel, args.u, _COVARIANCE_PAIRS, args.n, args.seed, grid)
@@ -213,19 +229,16 @@ def cmd_diagnostics(args) -> int:
         _write_json(
             args.out,
             {
-                "pitman_ratio": [{"t": t, "ratio": r} for t, r in curve],
+                "pitman_ratio": [{"t": t, "ratio": r} for t, r in zip(ts, ratios)],
                 "covariance": panel,
             },
         )
         return EXIT_OK
-    _write_csv(args.out, ["t", "pitman_ratio"], curve)
+    _write_csv(args.out, ["t", "pitman_ratio"], [(ts, ratios)])
     cov_path = FilePath(args.out)
     cov_out = str(cov_path.with_name(cov_path.stem + ".covariance.csv"))
-    _write_csv(
-        cov_out,
-        ["s", "t", "empirical", "target", "se", "n"],
-        [(r["s"], r["t"], r["empirical"], r["target"], r["se"], r["n"]) for r in panel],
-    )
+    header = ["s", "t", "empirical", "target", "se", "n"]
+    _write_csv(cov_out, header, [tuple([r[k] for r in panel] for k in header)])
     return EXIT_OK
 
 

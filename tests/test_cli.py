@@ -12,10 +12,13 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from excursions.cli import (
     DEFAULT_SEED,
@@ -27,6 +30,7 @@ from excursions.cli import (
     EXIT_SYNTHESIS_ERROR,
     _parse_range,
     _write_csv,
+    _write_table,
     build_parser,
     main,
 )
@@ -66,7 +70,7 @@ def test_csv_writes_floats_as_their_shortest_round_trip_text(tmp_path):
     # and subnormals included
     values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, math.pi, np.float64(0.1) * 3, np.float64(-2.5e-300)]
     out = tmp_path / "floats.csv"
-    _write_csv(str(out), ["x", "k"], [(v, k) for k, v in enumerate(values)])
+    _write_csv(str(out), ["x", "k"], [(values, list(range(len(values))))])
     header, rows = _read_csv(out)
     assert header == ["x", "k"]
     assert [text for text, _ in rows] == [repr(float(v)) for v in values]
@@ -74,6 +78,74 @@ def test_csv_writes_floats_as_their_shortest_round_trip_text(tmp_path):
     for (text, _), v in zip(rows, values):
         assert np.float64(text).tobytes() == np.float64(v).tobytes()
     assert [text for text, _ in rows[:5]] == ["-0.0", "5e-324", "1e+16", "1e-05", "0.1"]
+
+
+# cells the writers must write as csv and json do: Python floats and numpy
+# float64 (the edge cases among them), and ints of any size
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]
+_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from(_EDGE_FLOATS + [np.float64(v) for v in _EDGE_FLOATS]),
+    st.integers(),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header and chunks for it: each column a list of cells or one cell for
+    every row, at least one a list, and sometimes the previous chunk's list
+    object again."""
+    header = [f"c{k}" for k in range(draw(st.integers(1, 4)))]
+    chunks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 6))
+        lists = draw(st.lists(st.booleans(), min_size=len(header), max_size=len(header)).filter(any))
+        chunk = []
+        for k, is_list in enumerate(lists):
+            before = chunks[-1][k] if chunks else None
+            if not is_list:
+                chunk.append(draw(_CELLS))
+            elif isinstance(before, list) and len(before) == n and draw(st.booleans()):
+                chunk.append(before)
+            else:
+                chunk.append(draw(st.lists(_CELLS, min_size=n, max_size=n)))
+        chunks.append(tuple(chunk))
+    return header, chunks
+
+
+def _table_rows(chunks):
+    rows = []
+    for chunk in chunks:
+        n = len(next(c for c in chunk if isinstance(c, list)))
+        rows += [tuple(c[i] if isinstance(c, list) else c for c in chunk) for i in range(n)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables())
+@example(table=(["t", "value", "replicate"], [([0.5], [np.float64(-0.0)], 3)]))  # one row
+def test_writers_write_the_bytes_of_csv_and_json_for_any_chunks(tmp_path_factory, table):
+    header, chunks = table
+    rows = _table_rows(chunks)
+    expected = StringIO(newline="")
+    csv.writer(expected, lineterminator="\n").writerows([header, *rows])
+    out = tmp_path_factory.mktemp("w") / "t"
+    _write_csv(str(out), header, chunks)
+    assert out.read_bytes() == expected.getvalue().encode()
+    _write_table(types.SimpleNamespace(format="json", out=str(out)), header, chunks)
+    objects = [dict(zip(header, row)) for row in rows]
+    assert out.read_text() == json.dumps(objects, indent=2, sort_keys=True) + "\n"
+
+
+def test_csv_formats_a_list_again_unless_it_is_the_previous_chunks_list(tmp_path):
+    # the writer keeps the text of a column's last list; an equal-length list
+    # with other values, and the first list passed again after it, must each
+    # be written with their own values
+    first, second = [0.5, 1.5], [2.5, 3.5]
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), ["t", "k"], [(first, 0), (second, 1), (first, 2), (first, 3)])
+    assert out.read_text() == "t,k\n0.5,0\n1.5,0\n2.5,1\n3.5,1\n0.5,2\n1.5,2\n0.5,3\n1.5,3\n"
 
 
 def test_parse_range():
