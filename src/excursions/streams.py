@@ -1,12 +1,19 @@
 """Reproducible random streams: one master seed, pure per-pair substreams.
 
+A substream's generator is a Philox keyed by two 64-bit words: the lane's
+word and the substream's index.  The lane word is the first word that
+SeedSequence(master_seed, spawn_key=head) generates, for the lane indices
+(head) before the last, and the index is the last.  Philox is built to take a
+stream id as its key: generators with different keys draw independent
+streams, so substreams are independent within a lane, and lanes are too
+unless two of them hash to the same word (probability 2**-64 a pair).  A key
+is a pure function of master seed and lane, so a run is a prefix of any
+longer run.
+
 Replicates come in blocks of consecutive substreams, each substream with its
 own generator, so neither the block size nor the number of worker threads that
-draw the blocks changes a number, only speed and memory.  Substream seeds are
-the keys numpy's SeedSequence derives, computed from a cached prefix of its
-mixing state.  replicates derives them on the calling thread, in one numpy
-pass (_substream_seeds) per chunk of _KEY_CHUNK consecutive substreams cut at
-a block boundary, and hands each block its seeds; a block builds its
+draw the blocks changes a number, only speed and memory.  replicates keys
+each block on the calling thread and hands it its seeds; a block builds its
 generators from them on the thread that draws it.
 
 Every lane follows one block rule with two cases.  A block that draws whole
@@ -41,86 +48,23 @@ __all__ = ["substream_seed", "generator", "generators", "replicates"]
 # fifth would add at most 7% for one more block of memory.
 _MAX_WORKERS = 4
 
-# Substreams whose seeds one numpy pass derives (_substream_seeds), rounded
-# down to whole blocks: a few hundred KiB of temporaries and Python ints,
-# whatever the run size.
-_KEY_CHUNK = 4096
-
-# numpy's SeedSequence hash constants, and generate_state's first two multipliers.
-_MASK = 0xFFFFFFFF
-_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_OUT_1, _OUT_2 = _INIT_B * _MULT_B & _MASK, _INIT_B * _MULT_B**2 & _MASK
-
 
 def substream_seed(master_seed: int, *lane: int) -> int:
-    """Derive a 64-bit seed for one replicate from a master seed and lane indices.
-
-    Pure function of its arguments, so a replicate's stream never depends on
-    how many replicates a run draws or in which order.  The seed is that of
-    ``SeedSequence(master_seed, spawn_key=lane).generate_state(1, np.uint64)``:
-    the one-element case of _substream_seeds.
-    """
-    return int(_substream_seeds(master_seed, lane, 1)[0])
-
-
-def _substream_seeds(master_seed: int, lane: tuple, count: int) -> np.ndarray:
-    """substream_seed(master_seed, *lane[:-1], lane[-1] + i) for i in
-    range(count), as a uint64 array, in one numpy pass; an empty lane gives
-    the seed of the master seed alone.  A seed sequence hashes its entropy
-    words into its pool in order, so the pool after all lane indices but the
-    last is cached (_prefix); each last index mixes in the words a seed
-    sequence reads of it (_index_words), and two words are hashed out.  Every
-    hash constant is shared by the indices, and uint64 products keep their
-    low 32 bits exactly."""
+    """The Philox key of one substream, ``w | lane[-1] << 64`` with w the word
+    of the lane's head lane[:-1]: a pure function of its arguments, so a
+    replicate's stream never depends on how many replicates a run draws or in
+    which order.  The lane needs one or more indices."""
     master_seed, lane = operator.index(master_seed), tuple(map(operator.index, lane))
-    if master_seed < 0 or min(lane, default=0) < 0:
-        raise DomainError(f"master seed and lane indices must be non-negative, got {master_seed}, {lane}")
-    words = _index_words(lane[-1], count) if lane else np.zeros((0, count), np.uint64)
-    pool, const = _prefix(master_seed, lane[:-1])
-    pool = [np.full(count, word, np.uint64) for word in pool]
-    # an index's first word is mixed in, and each further one up to its highest nonzero one
-    mixes = np.logical_or.accumulate(words[::-1] != 0)[::-1]
-    mixes[:1] = True
-    for word, live in zip(words, mixes):
-        if not live.any():
-            break
-        for dst in range(4):  # hash the word and mix it into each pool word
-            value = (word ^ const) * (const := const * _MULT_A & _MASK) & _MASK
-            mixed = (_MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16)) & _MASK
-            pool[dst] = np.where(live, mixed ^ mixed >> 16, pool[dst])
-    lo = (pool[0] ^ _INIT_B) * _OUT_1 & _MASK
-    hi = (pool[1] ^ _OUT_1) * _OUT_2 & _MASK
-    return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
-
-
-def _index_words(start: int, count: int) -> np.ndarray:
-    """The 32-bit words of the indices start .. start + count - 1, least
-    significant first, one column each: start's words plus the offset, carried
-    into one more row.  count must be below 2**32."""
-    words = np.empty((len(_words(start)) + 1, count), np.uint64)
-    carry = np.arange(count, dtype=np.uint64)
-    for row, word in zip(words, [*_words(start), 0]):
-        carry += word
-        np.bitwise_and(carry, _MASK, out=row)
-        carry >>= 32
-    return words
-
-
-def _words(value: int) -> list[int]:
-    """An integer's 32-bit words, least significant first, as a seed sequence reads it."""
-    return [value >> shift & _MASK for shift in range(0, max(value.bit_length(), 1), 32)]
+    if not lane or master_seed < 0 or min(lane) < 0 or lane[-1] >= 1 << 64:
+        msg = "a master seed and one or more lane indices, none negative and the last below 2**64"
+        raise DomainError(f"a substream needs {msg}, got {master_seed}, {lane}")
+    return _lane_word(master_seed, lane[:-1]) | lane[-1] << 64
 
 
 @lru_cache(maxsize=64)
-def _prefix(master_seed: int, head: tuple) -> tuple[tuple, int]:
-    """The pool of SeedSequence(master_seed, spawn_key=head), which a longer
-    spawn key only extends, and its hash constant: 16 hashes fill and mix the
-    pool of four words, and 4 more mix in each entropy word beyond the fourth
-    (a master seed of fewer words is zero padded, which hashes the same)."""
-    hashes = 16 + 4 * (max(0, len(_words(master_seed)) - 4) + sum(len(_words(index)) for index in head))
-    pool = np.random.SeedSequence(master_seed, spawn_key=head).pool
-    return tuple(map(int, pool)), _INIT_A * pow(_MULT_A, hashes, _MASK + 1) & _MASK
+def _lane_word(master_seed: int, head: tuple) -> int:
+    """The key word of every substream of lane head: one seed sequence per lane."""
+    return int(np.random.SeedSequence(master_seed, spawn_key=head).generate_state(1, np.uint64)[0])
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -183,7 +127,7 @@ def replicates(
     seed order; replicate i is row i % 2 of substream_seed(master_seed, lane,
     i // 2)'s pair, so each yielded block holds the rows of its substreams, and
     an odd n drops the last second half.  The seeds are derived here, on the
-    calling thread, a chunk of whole blocks at a time.
+    calling thread, a block at a time.
 
     With ``pooled`` (the default), blocks are drawn on up to _worker_count()
     threads at once and yielded in block order.  At most twice that many are
@@ -197,13 +141,11 @@ def replicates(
     if n < 1:
         raise DomainError(f"a run needs n >= 1 replicates, got n = {n}")
     pairs = (n + 1) // 2
-    chunk = size * max(1, _KEY_CHUNK // size)  # whole blocks
+    word = substream_seed(master_seed, lane, 0)  # substream 0: the lane word alone
 
-    def seeded():  # (start, seeds) per block, keyed one chunk of blocks at a time
-        for first in range(0, pairs, chunk):
-            seeds = _substream_seeds(master_seed, (lane, first), min(chunk, pairs - first)).tolist()
-            for start in range(first, first + len(seeds), size):
-                yield start, seeds[start - first : start - first + size]
+    def seeded():  # (start, seeds) per block
+        for start in range(0, pairs, size):
+            yield start, [word | k << 64 for k in range(start, min(start + size, pairs))]
 
     def block(start: int, seeds: list[int]) -> np.ndarray:
         return draw_block(seeds)[: n - 2 * start]

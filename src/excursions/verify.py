@@ -92,7 +92,7 @@ _MARKOV_BLOCK = 32
 PATH_LANE = 0
 LIMIT_LANE = 1
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 # ---------------------------------------------------------------------------

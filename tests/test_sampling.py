@@ -431,10 +431,11 @@ def test_truncated_normal_rejects_a_threshold_whose_square_overflows():
 def test_conditioning_refuses_an_exceedance_that_rounds_to_u(u, r0):
     # the overshoot above u has scale r0 / u; below the float resolution of u
     # a drawn origin value rounds to u itself, every one at r0 = 1e-200 and
-    # about 1% at u = 1e7, so the conditioning cannot hold: refuse, never redraw
-    plan = build_sampler(make_kernel(2.0, r0), c2_grid(6.0))
+    # about 1% at u = 1e7, so the conditioning cannot hold: refuse, never redraw.
+    # 5000 draws on a 101-point grid miss a 1% rate with probability below 1e-21.
+    plan = build_sampler(make_kernel(2.0, r0), Grid(0.01, 0.5))
     with pytest.raises(DomainError, match=r"threshold u = .* r0 = "):
-        sample_conditional_exceedance(plan, u, [substream_seed(1729, 0, k) for k in range(50)])
+        sample_conditional_exceedance(plan, u, [substream_seed(1729, 0, k) for k in range(2500)])
 
 
 def test_normal_tail_matches_scipy_ndtr():

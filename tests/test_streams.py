@@ -31,69 +31,73 @@ from excursions.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
 from excursions.streams import generator, replicates, substream_seed
 
 
-@pytest.mark.parametrize("key", [0, 1729, 2**64 - 1, 2**64 + 12345])
+@pytest.mark.parametrize("key", [0, 1729, 2**64 - 1, 2**64 + 12345, 2**96 + 7, 2**128 - 1])
 def test_generator_draws_the_stream_of_its_philox_key(key):
-    # keyed without drawing OS entropy, yet the same stream as Philox(key=key)
+    # keyed without drawing OS entropy, yet the same stream as Philox(key=key),
+    # whose two key words are the key's low and high 64 bits
     expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(1000)
     np.testing.assert_array_equal(generator(key).standard_normal(1000), expected)
 
 
-def _seed_sequence_key(master, *lane):
-    return int(np.random.SeedSequence(master, spawn_key=lane).generate_state(1, np.uint64)[0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
-    head=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=3),
-    k=st.one_of(st.integers(0, 10**6), st.integers(2**32, 2**80)),
-)
-@example(master=0, head=[0], k=0)
-@example(master=2**200 - 1, head=[2**64, 1], k=2**32)  # multiword master and lane words
-def test_substream_seeds_are_the_seed_sequence_keys(master, head, k):
-    # the cached prefix reproduces SeedSequence(master, spawn_key=lane), so no
-    # stream moves; asked twice, once from the cache, the key is the same
-    lane = (*head, k)
-    assert substream_seed(master, *lane) == _seed_sequence_key(master, *lane)
-    assert substream_seed(master, *head, k + 1) == _seed_sequence_key(master, *head, k + 1)
-    assert substream_seed(master, *head) == _seed_sequence_key(master, *head)  # the lane may be empty
-    assert substream_seed(np.int64(master % 2**63), *lane) == _seed_sequence_key(master % 2**63, *lane)
+def _lane_word(master, *head):
+    return int(np.random.SeedSequence(master, spawn_key=head).generate_state(1, np.uint64)[0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
-    head=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=2),
-    start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 50, 2**32 + 10), st.integers(0, 2**80)),
-    count=st.integers(0, 40),
+    head=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=3),
+    i=st.one_of(st.integers(0, 10**6), st.integers(0, 2**64 - 1)),
 )
-@example(master=2**200 - 1, head=[2**64, 1], start=2**32 - 3, count=6)  # straddles k = 2**32
-@example(master=1729, head=[0], start=5, count=0)  # an empty range
-def test_the_key_pass_gives_each_seed_of_a_range_of_substreams(master, head, start, count):
-    # the numpy pass over a range of last indices is the seed sequence's hash,
-    # whatever words the master seed, the lane head and the indices take
-    keys = streams._substream_seeds(master, (*head, start), count)
-    assert keys.dtype == np.uint64 and keys.shape == (count,)
-    expected = [_seed_sequence_key(master, *head, k) for k in range(start, start + count)]
-    assert keys.tolist() == expected == [substream_seed(master, *head, k) for k in range(start, start + count)]
+@example(master=0, head=[], i=0)
+@example(master=2**200 - 1, head=[2**64, 1], i=2**64 - 1)  # multiword master and head, the largest index
+def test_a_substream_draws_the_philox_stream_of_its_lane_word_and_index(master, head, i):
+    # the key's low word is the head's seed sequence word, its high word the
+    # last index; asked twice, once from the cache, the key is the same
+    key = _lane_word(master, *head) | i << 64
+    assert substream_seed(master, *head, i) == key == substream_seed(master, *head, i)
+    assert substream_seed(np.int64(master % 2**63), *head, i) == _lane_word(master % 2**63, *head) | i << 64
+    expected = np.random.Generator(np.random.Philox(key=key)).integers(2**63, size=8)
+    np.testing.assert_array_equal(generator(substream_seed(master, *head, i)).integers(2**63, size=8), expected)
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 4096])
-@pytest.mark.parametrize("size", [2, 3])
-def test_blocks_get_their_seeds_from_chunks_of_whole_blocks(monkeypatch, chunk, size):
-    # keys are derived a chunk of whole blocks at a time: no chunk splits a
-    # block, and every block gets its substreams' seeds in order
-    monkeypatch.setattr(streams, "_KEY_CHUNK", chunk)
-    blocks = list(replicates(lambda seeds: np.repeat(np.array(seeds, np.uint64), 2)[:, None], 41, 5, 0, size))
+@settings(max_examples=200, deadline=None)
+@given(
+    master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
+    heads=st.lists(
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=3).map(tuple),
+        min_size=2,
+        max_size=2,
+        unique=True,
+    ),
+    i=st.integers(0, 2**64 - 1),
+)
+@example(master=1729, heads=[(), (0,)], i=5)  # an empty head is a lane of its own
+@example(master=1729, heads=[(0,), (1,)], i=5)  # the path and limit lanes
+def test_different_heads_give_different_lane_words(master, heads, i):
+    # one index in two lanes: the same high word, different low words
+    a, b = (substream_seed(master, *head, i) for head in heads)
+    assert a >> 64 == b >> 64 == i
+    assert a & (2**64 - 1) != b & (2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "master, lane",
+    [(1729, ()), (1729, (-1,)), (1729, (0, -2)), (1729, (-3, 0)), (1729, (2**64,)), (1729, (0, 2**64)), (-1, (0, 0))],
+)
+def test_substream_seeds_refuse_a_lane_outside_their_key(master, lane):
+    # a key needs a last index that fits its high word, and non-negative seed sequence entropy
+    with pytest.raises(DomainError):
+        substream_seed(master, *lane)
+
+
+@pytest.mark.parametrize("size", [2, 3, 21, 64])
+def test_blocks_get_their_substreams_seeds_in_order(size):
+    # every block but the last holds size substreams, each with its own seed
+    blocks = list(replicates(lambda seeds: np.repeat(np.array(seeds, object), 2)[:, None], 41, 5, 0, size))
     assert [len(b) for b in blocks[:-1]] == [2 * size] * (len(blocks) - 1)
     expected = [substream_seed(5, 0, k) for k in range(21) for _ in range(2)][:41]
-    np.testing.assert_array_equal(np.concatenate(blocks)[:, 0], expected)
-
-
-@pytest.mark.parametrize("lane", [(-1,), (0, -2)])
-def test_substream_seeds_need_non_negative_lane_indices(lane):
-    with pytest.raises(DomainError):
-        substream_seed(1729, *lane)
+    assert np.concatenate(blocks)[:, 0].tolist() == expected
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -132,7 +136,7 @@ def test_blocks_come_back_in_order_with_the_blocks_in_flight_bounded(monkeypatch
         time.sleep(0.02)
         with lock:
             running[0] -= 1
-        return np.array([[s] for s in seeds for _ in range(2)], dtype=np.uint64)
+        return np.array([[s] for s in seeds for _ in range(2)], dtype=object)
 
     before = threading.active_count()
     blocks = []
@@ -140,7 +144,7 @@ def test_blocks_come_back_in_order_with_the_blocks_in_flight_bounded(monkeypatch
         blocks.append(block)
         assert started[0] <= len(blocks) + 5  # this block, and at most 2 * 3 - 1 more
     expected = [streams.substream_seed(5, 0, k) for k in range(21) for _ in range(2)][:41]
-    np.testing.assert_array_equal(np.concatenate(blocks)[:, 0], expected)
+    assert np.concatenate(blocks)[:, 0].tolist() == expected
     assert most[0] == 3 and len(threads) == 3
     assert threading.get_ident() not in threads
     assert threading.active_count() == before
