@@ -6,10 +6,11 @@ one smooth exponent alpha = 2 and take no --alpha flag; verify-ht and
 diagnostics need --alpha < 2; sample-paths takes either.
 
 Replicate i of a run is half i % 2 of the path pair drawn from substream
-i // 2 of its seed, drawn in blocks of consecutive substreams, sized and
-threaded by the block rule in streams; neither the block size nor the number
-of worker threads changes a number. Tables go out a chunk at a time, a path or
-a whole small table, each formatted and written in one pass.
+i // 2 of its seed, drawn in blocks of consecutive substreams sized by the
+rule in streams; neither the block size nor the thread that draws a block
+changes a number. Tables go out a chunk at a time, a path or a whole small
+table, each formatted and written in one pass; a command that fails to write
+one leaves none of its files.
 
 Exit codes: 0 ok, 1 acceptance failed, 2 configuration error (any bad flag,
 including a non-finite number), 3 censor budget exceeded, 4 covariance
@@ -58,27 +59,31 @@ _COVARIANCE_PAIRS = ((1.0, 1.0), (1.0, 2.0), (-1.0, 1.0))
 
 
 @contextmanager
-def _new_file(path: str):
+def _new_file(path: str, earlier=()):
     """The text file at path, opened for writing; a table goes out a chunk at
     a time as its chunks are produced, so a generator of them is never held in
-    memory whole, and if producing them fails, the partial file is removed."""
-    fh = open(path, "w", newline="")
+    memory whole.  If opening or producing it fails, the partial file is
+    removed, and so are the files ``earlier`` that its command wrote before
+    it: a command leaves all its files or none."""
     try:
-        with fh:
+        with open(path, "w", newline="") as fh:
+            earlier = (*earlier, path)  # opened, so removed too
             yield fh
     except BaseException:
-        FilePath(path).unlink()
+        for done in earlier:
+            FilePath(done).unlink()
         raise
 
 
-def _write_csv(path: str, header: list[str], chunks) -> None:
+def _write_csv(path: str, header: list[str], chunks, earlier=()) -> None:
     """The bytes csv.writer gives the header and each chunk's rows. A chunk is
     a tuple of columns in header order, each a list of cells or one cell for
     every row, at least one a list. A cell, a number, is written as its str: a
     float, numpy's float64 included, as its shortest round-trip text. A list
-    that is the previous chunk's column object is not formatted again."""
+    that is the previous chunk's column object is not formatted again.
+    ``earlier`` is as _new_file takes it."""
     held = [(None, None)] * len(header)  # each column's last list and its texts
-    with _new_file(path) as fh:
+    with _new_file(path, earlier) as fh:
         fh.write(",".join(header) + "\n")
         for chunk in chunks:
             texts, fields = [], []
@@ -94,7 +99,8 @@ def _write_csv(path: str, header: list[str], chunks) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    FilePath(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _new_file(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_table(args, header: list[str], chunks) -> None:
@@ -124,7 +130,7 @@ def _quantile_csv_path(out: str) -> str:
 def _write_report(report, out: str) -> None:
     _write_json(out, report.to_dict())
     header = ["p", "empirical", "reference"]
-    _write_csv(_quantile_csv_path(out), header, [tuple([row[k] for row in report.quantiles] for k in header)])
+    _write_csv(_quantile_csv_path(out), header, [tuple([row[k] for row in report.quantiles] for k in header)], [out])
 
 
 def _add_common(sp, *, alpha: float | None, u: float, n: int) -> None:
@@ -238,7 +244,7 @@ def cmd_diagnostics(args) -> int:
     cov_path = FilePath(args.out)
     cov_out = str(cov_path.with_name(cov_path.stem + ".covariance.csv"))
     header = ["s", "t", "empirical", "target", "se", "n"]
-    _write_csv(cov_out, header, [tuple([r[k] for r in panel] for k in header)])
+    _write_csv(cov_out, header, [tuple([r[k] for r in panel] for k in header)], [args.out])
     return EXIT_OK
 
 

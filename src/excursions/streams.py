@@ -11,21 +11,16 @@ is a pure function of master seed and lane, so a run is a prefix of any
 longer run.
 
 Replicates come in blocks of consecutive substreams, each substream with its
-own generator, so neither the block size nor the number of worker threads that
-draw the blocks changes a number, only speed and memory.  replicates keys
-each block on the calling thread and hands it its seeds; a block builds its
-generators from them on the thread that draws it.
-
-Every lane follows one block rule with two cases.  A block that draws whole
-rows, by FFT or by direct sum (the heavy-tail path and limit lanes at alpha
-other than 1, sample-paths on either engine, the covariance panel), holds
-sampling.block_size(weights) substreams, as many as fill sampling._BLOCK_BYTES
-of its circulant: 16 path pairs on the default 8000-point circulant, 32 limit
-pairs on the 4000-point one, 163 panel substreams on the default panel's
-800-point one.  It goes to the worker pool, since its normals and transforms
-release the GIL.  A walk (crossings.walk_intervals: verify's smooth path lane
-and its alpha = 1 lanes) holds the GIL for most of its time, so it keeps the
-fixed count verify gives it and runs on the calling thread.
+own generator, so neither the block size nor the thread that draws a block
+changes a number, only speed and memory.  Blocks are keyed on the calling
+thread; each builds its generators on the thread that draws it.  A block that
+draws whole rows holds sampling.block_size(weights) substreams, as many as
+fill sampling._BLOCK_BYTES of its circulant (16 path pairs on the default
+8000-point one); a walk (crossings.walk_intervals) keeps the fixed count
+verify gives it.  replicates draws blocks one at a time on the calling thread,
+pooled_rows on a small pool of threads.  Only verify's FFT lanes (the path
+lane on a plan that transforms, the limit lane at alpha other than 1) take
+the pool: only their normals and transforms release the GIL long enough.
 """
 
 from __future__ import annotations
@@ -42,10 +37,10 @@ from .errors import DomainError
 
 __all__ = ["substream_seed", "generator", "generators", "replicates"]
 
-# Most worker threads a run draws blocks on.  Two workers draw heavy-tail
-# blocks about 1.5x as fast as one, so about a third of a block holds the GIL;
-# by Amdahl's law four workers are then at best twice as fast as one, and a
-# fifth would add at most 7% for one more block of memory.
+# Most worker threads a run draws blocks on.  On two CPUs, two workers run
+# `verify-ht --alpha 0.75 --n 5000` 1.8x as fast as one (0.84 s against 1.53 s),
+# so at most a ninth of it holds the GIL; by Amdahl's law four workers are then
+# at best 3x as fast as one, and a fifth would add at most 15%.
 _MAX_WORKERS = 4
 
 
@@ -112,59 +107,47 @@ def _worker_count() -> int:
     return max(1, min(cpus or 1, _MAX_WORKERS))
 
 
-def replicates(
-    draw_block: Callable[[list[int]], np.ndarray],
-    n: int,
-    master_seed: int,
-    lane: int,
-    size: int,
-    *,
-    pooled: bool = True,
-):
-    """The first n replicates of a lane, in blocks of ``size`` consecutive substreams.
-
-    ``draw_block(seeds)`` returns two independent draws per seed, as rows in
-    seed order; replicate i is row i % 2 of substream_seed(master_seed, lane,
-    i // 2)'s pair, so each yielded block holds the rows of its substreams, and
-    an odd n drops the last second half.  The seeds are derived here, on the
-    calling thread, a block at a time.
-
-    With ``pooled`` (the default), blocks are drawn on up to _worker_count()
-    threads at once and yielded in block order.  At most twice that many are
-    in flight, drawn or waiting to be yielded, so a worker seldom waits for
-    the consumer and memory stays flat in n; the threads end with the run.
-    ``draw_block`` must then be safe to call from several threads; each call
-    keeps its own generators, so every number is the same on any number of
-    workers.  Without ``pooled``, blocks are drawn one at a time on the
-    calling thread: the walks of the block rule above.
-    """
+def _seeded(n: int, master_seed: int, lane: int, size: int):
+    """(start, seeds) of each block of n replicates: its first substream's
+    index and its substreams' seeds.  n is checked at the call."""
     if n < 1:
         raise DomainError(f"a run needs n >= 1 replicates, got n = {n}")
     pairs = (n + 1) // 2
     word = substream_seed(master_seed, lane, 0)  # substream 0: the lane word alone
+    return ((i, [word | k << 64 for k in range(i, min(i + size, pairs))]) for i in range(0, pairs, size))
 
-    def seeded():  # (start, seeds) per block
-        for start in range(0, pairs, size):
-            yield start, [word | k << 64 for k in range(start, min(start + size, pairs))]
 
-    def block(start: int, seeds: list[int]) -> np.ndarray:
-        return draw_block(seeds)[: n - 2 * start]
+def replicates(draw_block: Callable[[list[int]], np.ndarray], n: int, master_seed: int, lane: int, size: int):
+    """The first n replicates of a lane, in blocks of ``size`` consecutive
+    substreams, each drawn on the calling thread when it is asked for.
 
-    workers = min(_worker_count(), -(-pairs // size)) if pooled else 1
-    if workers == 1:
-        yield from (block(*args) for args in seeded())
-        return
+    ``draw_block(seeds)`` returns two independent draws per seed, as rows in
+    seed order; replicate i is row i % 2 of substream_seed(master_seed, lane,
+    i // 2)'s pair, so each yielded block holds the rows of its substreams, and
+    an odd n drops the last second half.
+    """
+    for start, seeds in _seeded(n, master_seed, lane, size):
+        yield draw_block(seeds)[: n - 2 * start]
+
+
+def pooled_rows(draw_block: Callable[[list[int]], np.ndarray], n: int, master_seed: int, lane: int, size: int):
+    """The rows of replicates(draw_block, n, master_seed, lane, size) in one
+    array, the blocks drawn on up to _worker_count() threads.  At most twice
+    as many blocks as workers are in flight, so memory stays flat in n but for
+    the rows; the threads end before this returns or raises, and a failed
+    block cancels those not yet started.  ``draw_block`` must be thread-safe;
+    each call keeps its own generators, so no number depends on the workers."""
+    blocks, workers = _seeded(n, master_seed, lane, size), _worker_count()
     # imported here: at the top it would add about 7.5 ms to every CLI start
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(workers, thread_name_prefix="excursions-block")
     try:
-        pending = deque()
-        for args in seeded():
+        rows, pending = [], deque()
+        for _, seeds in blocks:
             if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(block, *args))
-        while pending:
-            yield pending.popleft().result()
-    finally:  # also when a block fails or the consumer stops early
+                rows.append(pending.popleft().result())
+            pending.append(pool.submit(draw_block, seeds))
+        return np.concatenate(rows + [block.result() for block in pending])[:n]
+    finally:
         pool.shutdown(cancel_futures=True)

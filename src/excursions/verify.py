@@ -4,14 +4,15 @@ One master seed drives a run.  Every substream seed yields a pair of
 independent draws: replicate i of a lane is half i % 2 of the pure substream
 (master, lane, i // 2), so a run of n replicates is the first n replicates of
 any longer run, and reports are bit-identical across repeats.  Replicates are
-drawn and scanned in blocks of consecutive substreams, sized and threaded by
-the block rule in streams.  Two kinds of lane walk outward from the origin
-only as far as their paths cross (crossings.walk_intervals), with a full
-draw's numbers: the smooth-regime path lane over the direct sum's basis
-slices (_outward_intervals), and at alpha = 1 both heavy-tail lanes by their
-exact Markov recursion (_markov_lane).  The other heavy-tail lanes draw whole
-rows by FFT, and so does the covariance panel, on the smallest grid that holds
-its columns (_panel_rows).
+drawn and scanned in blocks of consecutive substreams, sized by the rule in
+streams.  Two kinds of lane walk outward from the origin only as far as their
+paths cross (crossings.walk_intervals), with a full draw's numbers: the
+smooth-regime path lane over the direct sum's basis slices
+(_outward_intervals), and at alpha = 1 both heavy-tail lanes by their exact
+Markov recursion (_markov_lane).  The other heavy-tail lanes draw whole rows
+by FFT on a pool of threads (streams.pooled_rows); the covariance panel draws
+them on the calling thread, on the smallest grid that holds its columns
+(_panel_rows).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .sampling import (
     sample_conditional_exceedance,
     sample_unconditional,
 )
-from .streams import generators, replicates, substream_seed
+from .streams import generators, pooled_rows, replicates, substream_seed
 
 __all__ = [
     "SampleSet",
@@ -189,11 +190,11 @@ def _drop_censored(lengths: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane: int) -> tuple[np.ndarray, dict]:
     """Interval rows (tau_minus, tau_plus, length) of n exactly conditioned
-    paths on the plan's grid, drawn and scanned one block at a time, and the
-    lane's synthesis block.  Direct plans walk outward from the origin
-    (_outward_intervals).  At alpha = 1 the path is an Ornstein-Uhlenbeck
-    process, so each side of it walks its exact grid recursion from the
-    origin value (_markov_lane)."""
+    paths on the plan's grid, drawn and scanned a block at a time, and the
+    lane's synthesis block.  FFT plans draw on the pool (pooled_rows); direct
+    plans walk outward from the origin (_outward_intervals).  At alpha = 1 the
+    path is an Ornstein-Uhlenbeck process, so each side of it walks its exact
+    grid recursion from the origin value (_markov_lane)."""
     if plan.kernel.alpha == 1.0:
         decay = math.exp(-plan.grid.step)
         scale = math.sqrt(-plan.kernel.r0 * math.expm1(-2.0 * plan.grid.step))  # sqrt(r0 (1 - decay**2))
@@ -207,10 +208,10 @@ def _path_intervals(plan: SamplerPlan, u: float, n: int, master_seed: int, lane:
         return crossing_bounds(plan.grid, sample_conditional_exceedance(plan, u, seeds), u)
 
     if plan.basis is None:
-        blocks = replicates(scan, n, master_seed, lane, block_size(plan.spectral_weights))
+        rows = pooled_rows(scan, n, master_seed, lane, block_size(plan.spectral_weights))
     else:
-        blocks = replicates(partial(_outward_intervals, plan, u), n, master_seed, lane, _OUTWARD_BLOCK, pooled=False)
-    rows = np.concatenate(list(blocks))
+        outward = partial(_outward_intervals, plan, u)
+        rows = np.concatenate(list(replicates(outward, n, master_seed, lane, _OUTWARD_BLOCK)))
     return rows, _synthesis(plan.spectral_weights, plan.fro_error, plan.embed_factor, plan.band, plan.engine)
 
 
@@ -226,7 +227,7 @@ def _markov_lane(walk: Callable, n: int, master_seed: int, lane: int) -> tuple[n
         drawn.append(normals)
         return rows
 
-    rows = np.concatenate(list(replicates(block, n, master_seed, lane, _MARKOV_BLOCK, pooled=False)))
+    rows = np.concatenate(list(replicates(block, n, master_seed, lane, _MARKOV_BLOCK)))
     return rows, {"engine": "markov", "normals_per_pair": sum(drawn) / ((n + 1) // 2)}
 
 
@@ -280,7 +281,7 @@ def _limit_intervals(
         return _markov_lane(partial(_markov_limit_intervals, c_alpha(1.0), r0, grid), n, master_seed, lane)
     embedding = _fgn_weights(alpha, grid)
     draw = partial(sample_limit_length, alpha, r0, grid)
-    rows = np.concatenate(list(replicates(draw, n, master_seed, lane, block_size(embedding[0]))))
+    rows = pooled_rows(draw, n, master_seed, lane, block_size(embedding[0]))
     return rows, _synthesis(*embedding)
 
 

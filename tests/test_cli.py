@@ -42,6 +42,7 @@ from excursions import (
     sample_conditional_exceedance,
     sample_unconditional,
     sampling,
+    verify,
 )
 
 
@@ -369,6 +370,32 @@ def test_diagnostics_json_format_carries_both_tables(tmp_path):
     assert doc["covariance"][0]["target"] == pytest.approx(2.0 * math.pi, rel=1e-12)
     # json mode writes a single self-contained file, no csv sidecar
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["verify-c2", "--n", "200"], "x.json", "x.quantiles.csv"),
+        (["verify-ht", "--n", "200"], "x.json", "x.quantiles.csv"),
+        (["diagnostics", "--n", "80"], "d2.csv", "d2.covariance.csv"),
+    ],
+    ids=["verify-c2", "verify-ht", "diagnostics"],
+)
+def test_a_command_that_cannot_write_its_second_file_leaves_neither(tmp_path, capsys, argv, first, second):
+    # the second file's path is a directory: the command exits 2 and removes
+    # the file it wrote first, so it leaves all its files or none
+    (tmp_path / second).mkdir()
+    assert main(argv + ["--out", str(tmp_path / first)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == [second]
+
+
+def test_a_failed_acceptance_still_writes_the_report_and_its_sidecar(monkeypatch, tmp_path):
+    monkeypatch.setitem(verify.KS_THRESHOLDS, "C2", 0.0)
+    out = tmp_path / "x.json"
+    assert main(["verify-c2", "--n", "200", "--out", str(out)]) == EXIT_ACCEPTANCE_FAILED
+    assert json.loads(out.read_text())["passed"] is False
+    assert _read_csv(tmp_path / "x.quantiles.csv")[0] == ["p", "empirical", "reference"]
 
 
 def test_diagnostics_rejects_smooth_kernel(tmp_path):

@@ -27,8 +27,8 @@ from excursions import (
     simulate_excursion_lengths,
 )
 from excursions import streams, verify
-from excursions.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
-from excursions.streams import generator, replicates, substream_seed
+from excursions.cli import EXIT_OK, main
+from excursions.streams import generator, pooled_rows, replicates, substream_seed
 
 
 @pytest.mark.parametrize("key", [0, 1729, 2**64 - 1, 2**64 + 12345, 2**96 + 7, 2**128 - 1])
@@ -123,13 +123,15 @@ def test_worker_count_is_the_usable_cpus_capped(monkeypatch):
     assert streams._worker_count() == 1
 
 
-def test_blocks_come_back_in_order_with_the_blocks_in_flight_bounded(monkeypatch):
+def test_pooled_rows_come_back_in_block_order_on_at_most_the_workers(monkeypatch):
+    # the pooled runner's contract: every block's rows in block order, drawn on
+    # at most _worker_count() threads, none of them the caller's, and no
+    # thread left once it returns
     monkeypatch.setattr(streams, "_worker_count", lambda: 3)
-    lock, started, running, most, threads = threading.Lock(), [0], [0], [0], set()
+    lock, running, most, threads = threading.Lock(), [0], [0], set()
 
     def draw_block(seeds):
         with lock:
-            started[0] += 1
             running[0] += 1
             most[0] = max(most[0], running[0])
             threads.add(threading.get_ident())
@@ -139,12 +141,9 @@ def test_blocks_come_back_in_order_with_the_blocks_in_flight_bounded(monkeypatch
         return np.array([[s] for s in seeds for _ in range(2)], dtype=object)
 
     before = threading.active_count()
-    blocks = []
-    for block in replicates(draw_block, 41, 5, 0, 2):
-        blocks.append(block)
-        assert started[0] <= len(blocks) + 5  # this block, and at most 2 * 3 - 1 more
-    expected = [streams.substream_seed(5, 0, k) for k in range(21) for _ in range(2)][:41]
-    assert np.concatenate(blocks)[:, 0].tolist() == expected
+    rows = pooled_rows(draw_block, 41, 5, 0, 2)
+    expected = [substream_seed(5, 0, k) for k in range(21) for _ in range(2)][:41]
+    assert rows[:, 0].tolist() == expected
     assert most[0] == 3 and len(threads) == 3
     assert threading.get_ident() not in threads
     assert threading.active_count() == before
@@ -176,10 +175,11 @@ def test_workers_switching_every_microsecond_draw_the_same_numbers(monkeypatch):
         np.testing.assert_array_equal(rows, reference)
 
 
-def test_whole_row_blocks_go_to_the_pool_and_walks_stay_on_the_calling_thread(monkeypatch, tmp_path):
-    # the block rule: blocks that draw whole rows, on either engine, reach
-    # worker threads; the outward smooth walk and both Markov walks start no
-    # pool.  Every block builds its generators on the thread that draws it.
+def test_only_the_fft_lanes_of_verify_reach_worker_threads(monkeypatch, tmp_path):
+    # the alpha = 0.75 path and limit lanes draw their blocks on pool threads;
+    # sample-paths on either engine, the covariance panel, the outward smooth
+    # walk and both Markov walks draw every block on the calling thread.
+    # Every block builds its generators on the thread that draws it.
     monkeypatch.setattr(streams, "_worker_count", lambda: 3)
     threads, keyed = set(), streams.generator
 
@@ -192,36 +192,29 @@ def test_whole_row_blocks_go_to_the_pool_and_walks_stay_on_the_calling_thread(mo
 
     monkeypatch.setattr(streams, "generator", recorded)
     here, k1, k2, k075 = threading.get_ident(), make_kernel(1.0), make_kernel(2.0), make_kernel(0.75)
-    whole_rows = {
+    fft_lanes = {  # 51 pairs: 4 blocks of the path lane, 2 of the limit lane
+        "path alpha 0.75": lambda: verify._path_intervals(
+            build_sampler(k075, heavy_tail_grid(k075, 10.0)), 10.0, 101, 5, verify.PATH_LANE
+        ),
+        "limit alpha 0.75": lambda: verify._limit_intervals(0.75, 1.0, limit_grid(), 101, 5, verify.LIMIT_LANE),
+    }
+    calling_thread = {
         "sample-paths direct": paths,
         "sample-paths fft": lambda: paths("--alpha", "0.75", "--u", "10"),
         # the panel's 201-point grid embeds in 400 points, 327 substreams a block
         "panel": lambda: covariance_panel(k075, 10.0, [(1.0, 1.0)], 801, 5),
-        "limit alpha 0.75": lambda: verify._limit_intervals(0.75, 1.0, limit_grid(), 101, 5, verify.LIMIT_LANE),
-    }
-    walks = {
         "outward": lambda: verify._path_intervals(build_sampler(k2, c2_grid(6.0)), 6.0, 101, 5, verify.PATH_LANE),
         "markov path": lambda: verify._path_intervals(
             build_sampler(k1, heavy_tail_grid(k1, 10.0)), 10.0, 101, 5, verify.PATH_LANE
         ),
         "markov limit": lambda: verify._limit_intervals(1.0, 1.0, limit_grid(), 101, 5, verify.LIMIT_LANE),
     }
-    for lanes, pooled in ((whole_rows, True), (walks, False)):
+    for lanes, pooled in ((fft_lanes, True), (calling_thread, False)):
         for name, run in lanes.items():
             threads.clear()
             run()
             assert threads and (here not in threads) == pooled, name
             assert pooled or threads == {here}, name
-
-
-def test_sample_paths_on_a_direct_plan_write_the_same_file_on_any_number_of_workers(monkeypatch, tmp_path):
-    # alpha = 2 plans sum directly; their whole-row blocks go to the pool too
-    files = []
-    for workers in (1, 3):
-        monkeypatch.setattr(streams, "_worker_count", lambda w=workers: w)
-        files.append(tmp_path / f"paths-{workers}.csv")
-        assert main(["sample-paths", "--n", "40", "--out", str(files[-1])]) == EXIT_OK
-    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_markov_lanes_start_no_worker_pool(monkeypatch):
@@ -251,7 +244,7 @@ def _outputs(tmp_path, n):
     window = heavy_tail_grid(k, 10.0, 0.02, 2.5)
     reports.append(run_verification(k, 10.0, window, n, 13, limit=limit_grid(0.02, 2.5)))
     out = [{key: v for key, v in r.to_dict().items() if key != "runtime_seconds"} for r in reports]
-    for alpha in (1.0, 0.75):  # the panel's blocks are drawn on the workers, 2 n spans two blocks of 163
+    for alpha in (1.0, 0.75):  # 2 n spans two of the panel's blocks of 163 substreams
         out.append(covariance_panel(make_kernel(alpha), 10.0, [(1.0, 1.0), (1.0, 2.0), (-1.0, 1.0)], 2 * n, 5150))
     csv_path = tmp_path / f"paths-{n}.csv"
     assert main(["sample-paths", "--n", str(n // 10 + n % 2), "--out", str(csv_path)]) == EXIT_OK
@@ -269,11 +262,21 @@ def test_outputs_are_the_same_on_any_number_of_workers(monkeypatch, tmp_path, n)
     assert outputs[1] == outputs[2] == outputs[3]
 
 
-def test_a_failing_block_stops_the_run_and_its_threads(monkeypatch, tmp_path):
-    # u / sigma = 1e160 cannot be sampled above, so every block raises on a worker
+def test_a_failing_block_stops_the_run_and_its_threads(monkeypatch):
+    # u / sigma = 1e160 cannot be sampled above, so every block of the alpha =
+    # 0.75 path lane raises on a worker: the run stops at the first, no block
+    # past the six in flight is started, and no thread is left
     monkeypatch.setattr(streams, "_worker_count", lambda: 3)
+    k, started, draw = make_kernel(0.75), [], verify.sample_conditional_exceedance
+
+    def counted(*args):
+        started.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(verify, "sample_conditional_exceedance", counted)
+    plan = build_sampler(k, heavy_tail_grid(k, 10.0))
     before = threading.active_count()
-    out = tmp_path / "big.csv"
-    assert main(["sample-paths", "--u", "1e160", "--n", "40", "--out", str(out)]) == EXIT_CONFIG_ERROR
-    assert not out.exists()
+    with pytest.raises(DomainError, match="threshold u"):
+        verify._path_intervals(plan, 1e160, 4000, 5, verify.PATH_LANE)  # 125 blocks of 16 pairs
+    assert 1 <= len(started) <= 2 * 3
     assert threading.active_count() == before

@@ -36,7 +36,8 @@ from excursions import (
     simulate_excursion_lengths,
     wasserstein1,
 )
-from excursions import build_sampler, crossing_bounds, crossings, sample_conditional_exceedance, sampling, verify
+from excursions import build_sampler, crossing_bounds, crossings, sample_conditional_exceedance, sampling, streams
+from excursions import verify
 from excursions.cli import EXIT_OK, main
 from excursions.limit_process import _fgn_weights, _levels, fbm_two_sided, limit_process_values
 from excursions.sampling import FACTOR_TOL, _next_smooth, _truncated_std_normal
@@ -280,7 +281,7 @@ def test_markov_lanes_draw_the_law_of_the_fft_lanes(lane):
             b = fbm_two_sided(1.0, grid, rngs)
             return crossing_bounds(grid, limit_process_values(grid, b, _levels(rngs), 1.0, c, 1.0), 0.0)
 
-    fft = np.concatenate(list(replicates(scan, n, 2024, PATH_LANE, 8, pooled=False)))
+    fft = np.concatenate(list(replicates(scan, n, 2024, PATH_LANE, 8)))
     assert not np.isnan(markov).any() and not np.isnan(fft).any()
     for column in range(3):  # tau_minus, tau_plus and the length
         a, b = markov[:, column], fft[:, column]
@@ -511,7 +512,7 @@ def test_block_engine_matches_the_per_pair_reference_bit_for_bit(monkeypatch, la
         assert plan.engine == "direct"
         size = sampling.block_size(weights)
         scan = lambda seeds: crossing_bounds(grid, sample_conditional_exceedance(plan, 6.0, seeds), 6.0)  # noqa: E731
-        exact = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, size, pooled=False)))
+        exact = np.concatenate(list(replicates(scan, n, 1729, PATH_LANE, size)))
         np.testing.assert_array_equal(rows, exact)
         assert window is None or len(sampling.direct_slices(plan.basis)) == 5
     else:
@@ -546,7 +547,7 @@ def test_path_lane_scans_what_full_draws_scan(step, arms, r0, u, macs, n, block)
         patch.setattr(sampling, "_DIRECT_MACS", macs)
         plan = build_sampler(kernel, grid)
         draw = partial(sample_conditional_exceedance, plan, u)
-        blocks = replicates(lambda s: crossing_bounds(grid, draw(s), u), n, 99, PATH_LANE, 1, pooled=False)
+        blocks = replicates(lambda s: crossing_bounds(grid, draw(s), u), n, 99, PATH_LANE, 1)
         full = np.concatenate(list(blocks))
         patch.setattr(sampling, "_BLOCK_BYTES", block * 16 * plan.spectral_weights.size)  # FFT plans
         patch.setattr(verify, "_OUTWARD_BLOCK", block)  # direct plans
@@ -641,6 +642,35 @@ def test_memory_stays_flat_in_the_run_size():
             tracemalloc.stop()
     assert peaks[2000] <= 3.0, peaks
     assert abs(peaks[2000] - peaks[400]) < 0.25, peaks
+
+
+@pytest.mark.parametrize("lane", ["path", "limit"])
+def test_fft_lane_memory_stays_flat_in_the_run_size(monkeypatch, lane):
+    # the alpha = 0.75 lanes draw on the pool, one substream a block here, so a
+    # run of n replicates has n / 2 blocks: once a first run has warmed the
+    # caches, runs of 400 and 2000 peak alike but for their rows, 3 floats a
+    # replicate kept as one small array a block, then concatenated (about
+    # 250 kB for the 800 more blocks).  With every block submitted at once,
+    # their futures and seeds would add about 1.3 MB.
+    monkeypatch.setattr(streams, "_worker_count", lambda: 2)
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1)
+    k = make_kernel(0.75)
+    plan = build_sampler(k, heavy_tail_grid(k, 10.0, 0.02, 5.0))
+    limit = limit_grid(0.02, 5.0)
+    run = {
+        "path": lambda n: verify._path_intervals(plan, 10.0, n, 1729, PATH_LANE),
+        "limit": lambda n: verify._limit_intervals(0.75, 1.0, limit, n, 1729, LIMIT_LANE),
+    }[lane]
+    run(40)  # warm-up
+    peaks = {}
+    for n in (400, 2000):
+        tracemalloc.start()
+        try:
+            run(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] - peaks[400] <= 2**19, peaks
 
 
 def test_lane_separation():
